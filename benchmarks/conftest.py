@@ -1,7 +1,8 @@
 """Shared benchmark fixtures and result-artifact helpers.
 
-Every benchmark regenerates one of the paper's artefacts (DESIGN.md
-maps them): it *benchmarks* the computation with pytest-benchmark and
+Every benchmark regenerates one of the paper's artefacts (README.md's
+opening command list names the figures and the trade-off sweep): it
+*benchmarks* the computation with pytest-benchmark and
 *prints/writes* the same rows the paper reports.  Row tables are also
 written under ``benchmarks/out/`` so the artefacts survive pytest's
 output capture.

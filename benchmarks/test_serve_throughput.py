@@ -16,10 +16,9 @@ Three benchmarks write (merge-update) sections of
   the same socket, clean connections send only fast requests, and
   ``hol_blocking_ratio`` compares the two fast-request populations.
   On the multiplexed async transport the ratio is 1.0 (fast responses
-  overtake the parked batch); on the serialized threads transport each
-  fast request rides out the full batch, so the same measurement
-  (recorded as ``threads_hol_blocking_ratio``) is several times
-  larger.  Ratios use noise-floored p50s (``NOISE_FLOOR_MS``):
+  overtake the parked batch); a transport that serialized a
+  connection's requests would make each fast request ride out the full
+  batch.  Ratios use noise-floored p50s (``NOISE_FLOOR_MS``):
   scheduler jitter must not move a metric whose failure mode is a
   multiple-of-5 explosion.
 * **``soak``** (``-m stress``, excluded from tier-1) — ≥1000 live
@@ -48,7 +47,6 @@ from benchmarks.conftest import OUT_DIR, write_artifact
 from repro.analysis.sweep import ParallelSweepRunner
 from repro.service import (
     AsyncExplorationServer,
-    ExplorationServer,
     ExplorationService,
     ResultStore,
     ServiceClient,
@@ -314,18 +312,14 @@ def _hol_ratio(fast_ms: list[float], clean_ms: list[float]) -> float:
     return mixed_p50 / clean_p50
 
 
-def _run_hol(server_cls, cache_dir, n_mixed, n_clean, clean_rounds):
-    server = server_cls(
+def _run_hol(cache_dir, n_mixed, n_clean, clean_rounds):
+    server = AsyncExplorationServer(
         ExplorationService(
             store=ResultStore(cache_dir), runner=SleepRunner(SLOW_S)
         ),
         listen=("127.0.0.1", 0),
         max_pending=8192,
-        **(
-            {"executor_workers": max(96, n_mixed + 16)}
-            if server_cls is AsyncExplorationServer
-            else {}
-        ),
+        executor_workers=max(96, n_mixed + 16),
     )
     server.start()
     try:
@@ -345,13 +339,11 @@ def test_serve_hol_blocking_multiplexed(tmp_path):
     48 connections each pipeline a ~500 ms ``batch`` ahead of a
     ``stats``; 152 clean connections send only ``stats``.  On the
     async transport the mixed fast requests must look like the clean
-    ones (ratio ~1); the threads transport is measured for contrast
-    (its fast requests ride out the whole batch, ratio ~100x+).
+    ones (ratio ~1).
     """
     n_mixed, n_clean, clean_rounds = 48, 152, 3
     fast_ms, clean_ms, max_connections = _run_hol(
-        AsyncExplorationServer, tmp_path / "async", n_mixed, n_clean,
-        clean_rounds,
+        tmp_path / "async", n_mixed, n_clean, clean_rounds
     )
     assert len(fast_ms) == n_mixed
     assert len(clean_ms) == n_clean * clean_rounds
@@ -362,14 +354,6 @@ def test_serve_hol_blocking_multiplexed(tmp_path):
         "fast requests waited on slow batches: head-of-line blocking "
         "is back in the async transport"
     )
-
-    # contrast run: the serialized reference transport, smaller scale
-    # (every connection costs a thread there)
-    threads_fast, threads_clean, _ = _run_hol(
-        ExplorationServer, tmp_path / "threads", 24, 24, clean_rounds
-    )
-    threads_ratio = _hol_ratio(threads_fast, threads_clean)
-    assert threads_ratio > ratio  # the fix is what makes the difference
 
     sorted_fast = sorted(fast_ms)
     sorted_clean = sorted(clean_ms)
@@ -383,7 +367,6 @@ def test_serve_hol_blocking_multiplexed(tmp_path):
         "clean_p50_ms": statistics.median(clean_ms),
         "clean_p95_ms": _percentile(sorted_clean, 0.95),
         "hol_blocking_ratio": ratio,
-        "threads_hol_blocking_ratio": threads_ratio,
     }
     merge_bench_record(record, section="multiplexed")
     write_artifact(
@@ -393,10 +376,7 @@ def test_serve_hol_blocking_multiplexed(tmp_path):
             f"{max_connections} held at peak\n"
             f"  fast-behind-slow p50 {record['fast_p50_ms']:.2f}ms / "
             f"clean p50 {record['clean_p50_ms']:.2f}ms -> "
-            f"hol_blocking_ratio {ratio:.2f}\n"
-            f"threads: same pipeline serializes -> "
-            f"ratio {threads_ratio:.1f} "
-            f"(each fast request rides out the {SLOW_S * 1e3:.0f}ms batch)"
+            f"hol_blocking_ratio {ratio:.2f}"
         ),
     )
 
@@ -431,8 +411,7 @@ def test_serve_soak_1000_connections(tmp_path):
     if not _raise_fd_limit(2 * (n_mixed + n_clean) + 256):
         pytest.skip("cannot raise RLIMIT_NOFILE high enough for the soak")
     fast_ms, clean_ms, max_connections = _run_hol(
-        AsyncExplorationServer, tmp_path / "cache", n_mixed, n_clean,
-        clean_rounds,
+        tmp_path / "cache", n_mixed, n_clean, clean_rounds
     )
     assert max_connections >= 1000, (
         f"soak never held 1000 connections at once (peak {max_connections})"

@@ -3,7 +3,7 @@
 
 Reproduces the paper's headline workflow on its headline workload: a
 "thorough trade-off exploration for different memory layer sizes"
-(TAB-TRADEOFF in DESIGN.md), showing
+(``repro sweep`` in README.md's opening command list), showing
 
 * the four scenario costs at the default platform (Figure 2/3 rows);
 * the L1-size sweep with Pareto-optimal points;

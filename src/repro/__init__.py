@@ -24,7 +24,7 @@ Quickstart::
     result = Mhla(program, embedded_3layer()).explore()
     print(result.mhla_speedup_fraction, result.energy_reduction_fraction)
 
-See README.md for the full tour and DESIGN.md for the architecture.
+See README.md for the full tour; its "Layout" section maps the packages.
 """
 
 from repro.core.assignment import Assignment, GreedyAssigner, Objective

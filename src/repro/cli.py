@@ -520,17 +520,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import (
         AsyncExplorationServer,
-        ExplorationServer,
         parse_listen_address,
         serve_until_signalled,
     )
     from repro.service.server import DEFAULT_MAX_PENDING
 
-    server_cls = (
-        ExplorationServer if args.transport == "threads"
-        else AsyncExplorationServer
-    )
-    server = server_cls(
+    server = AsyncExplorationServer(
         service,
         listen=(
             parse_listen_address(args.listen)
@@ -1068,15 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="socket mode: cap on requests in flight across all "
         "connections; excess requests get a busy error (default: 64)",
-    )
-    serve_cmd.add_argument(
-        "--transport",
-        choices=("async", "threads"),
-        default="async",
-        help="socket mode: multiplexed event-loop transport (async, "
-        "the default: one loop for all connections, responses out of "
-        "order so slow requests never block fast ones) or the "
-        "thread-per-connection serialized reference (threads)",
     )
     add_obs_args(serve_cmd, profile=True)
     serve_cmd.set_defaults(func=_cmd_serve)

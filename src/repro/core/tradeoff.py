@@ -8,9 +8,9 @@ on-chip layer, re-derives the layer's energy/latency from the analytic
 models at every point (as a memory library would), re-runs the full
 MHLA(+TE) flow, and reports one :class:`TradeoffPoint` per size.
 
-The resulting (size, cycles) and (size, energy) curves are the
-DESIGN.md experiment TAB-TRADEOFF; Pareto filtering lives in
-:mod:`repro.analysis.pareto`.
+The resulting (size, cycles) and (size, energy) curves are the L1-size
+trade-off sweep (``repro sweep APP`` in README.md's opening command
+list); Pareto filtering lives in :mod:`repro.analysis.pareto`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ transfer words.
 The default experimental platform, :func:`embedded_3layer`, mirrors the
 paper-era embedded SoC: off-chip SDRAM + a 64 KiB on-chip SRAM (L2) + an
 8 KiB scratchpad (L1), with a DMA engine.  Layer sizes are parameters so
-the trade-off sweeps (DESIGN.md: TAB-TRADEOFF) can rebuild the platform
+the trade-off sweeps (``repro sweep``, README.md) can rebuild the platform
 at many points; energy and latency are re-derived from the analytic
 models on every rebuild, as a real memory library would.
 """

@@ -33,11 +33,9 @@ Layers
 * :mod:`repro.service.server` — the same protocol served to many
   networked tenants over TCP or a Unix socket, with bounded admission
   (backpressure errors) and graceful drain on SIGINT/SIGTERM.
-  :class:`AsyncExplorationServer` (default) multiplexes every
-  connection over one event loop and answers out of order, so a slow
-  request never head-of-line-blocks a fast one;
-  :class:`ExplorationServer` is the thread-per-connection serialized
-  reference (``--transport threads``).
+  :class:`AsyncExplorationServer` multiplexes every connection over
+  one event loop and answers out of order, so a slow request never
+  head-of-line-blocks a fast one.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the matching
   line-protocol client (used by ``repro call`` and the tests), with
   bounded response reads and id-correlated pipelining.
@@ -69,7 +67,6 @@ from repro.service.queue import ExplorationService, ServiceStats
 from repro.service.rpc import serve
 from repro.service.server import (
     AsyncExplorationServer,
-    ExplorationServer,
     parse_listen_address,
     serve_until_signalled,
 )
@@ -100,7 +97,6 @@ __all__ = [
     "DEFAULT_CLAIM_TTL_S",
     "DEFAULT_READ_TIMEOUT_S",
     "DEFAULT_SEGMENT_MAX_BYTES",
-    "ExplorationServer",
     "ExplorationService",
     "KEY_FORMAT_VERSION",
     "KIND_CLAIM",

@@ -12,14 +12,11 @@ bugs without string matching.  :meth:`ServiceClient.send_line` skips
 all interpretation and returns the raw response line — the
 byte-identity tests compare those against the stdio transport.
 
-Against the multiplexed async transport the client can also
-**pipeline**: :meth:`ServiceClient.pipeline` writes a whole batch of
-requests before reading anything back, then matches responses to
-requests by JSON-RPC ``id`` — the server answers out of order (a slow
-``submit`` no longer delays a fast ``stats``), and the id correlation
-restores request order on the client side.  The same method works
-against the serialized transports too; responses simply arrive in
-request order there.
+The client can also **pipeline**: :meth:`ServiceClient.pipeline`
+writes a whole batch of requests before reading anything back, then
+matches responses to requests by JSON-RPC ``id`` — the server answers
+out of order (a slow ``submit`` no longer delays a fast ``stats``),
+and the id correlation restores request order on the client side.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ class ServiceConnectionRefused(ServiceError):
 
 
 class ServiceClient:
-    """One connection to an exploration server (either transport).
+    """One connection to an exploration server (TCP or Unix socket).
 
     *address* is ``(host, port)`` for TCP or a path for a Unix domain
     socket.  The connection opens lazily on the first call and closes
@@ -197,6 +194,12 @@ class ServiceClient:
             raise ServiceError(
                 f"no response from server at {self.address!r} within "
                 f"{self.read_timeout}s (dead or hung server?)"
+            ) from None
+        except ConnectionResetError:
+            # a request sent after the server closed its end draws a
+            # reset instead of EOF when the reset lands before our read
+            raise ServiceError(
+                f"server at {self.address!r} closed the connection (reset)"
             ) from None
         except OSError as error:
             raise ServiceError(

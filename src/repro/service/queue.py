@@ -42,6 +42,7 @@ its worker processes); other threads block on per-job events.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -49,7 +50,7 @@ from typing import Iterable, Sequence
 
 from repro.analysis.sweep import ParallelSweepRunner, SweepCell, SweepCellResult
 from repro.core.mhla import MhlaResult
-from repro.errors import ServiceError
+from repro.errors import ServiceError, StoreError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.service.keys import cell_key
@@ -74,6 +75,8 @@ _POLL_INITIAL_S = 0.02
 
 _POLL_MAX_S = 0.25
 """Backoff cap for the sibling-claim poll loop."""
+
+_log = logging.getLogger("repro.service")
 
 
 class _Job:
@@ -415,45 +418,57 @@ class ExplorationService:
         local: list[_Job] = []
         waiting: list[_Job] = []
         claims: dict[str, str] = {}
-        for job in batch:
-            status, claim_id = self.store.try_claim(
-                job.key, trace_id=job.trace_id
-            )
-            if status == CLAIM_DONE:
-                # a sibling finished it between submit and now
-                with self._lock:
-                    self.stats.inc("resolved_remote")
-                    self._finish(job, DONE)
-                job.event.set()
-                obs_trace.emit(
-                    "claim.done", trace_id=job.trace_id, key=job.key
-                )
-            elif status == CLAIM_WON:
-                claims[job.key] = claim_id
-                local.append(job)
-                with self._lock:
-                    self.stats.inc("claims_won")
-                obs_trace.emit(
-                    "claim.won",
-                    trace_id=job.trace_id,
-                    key=job.key,
-                    claim_id=claim_id,
-                )
-            else:
-                waiting.append(job)
-                with self._lock:
-                    self.stats.inc("claims_yielded")
-                obs_trace.emit(
-                    "claim.yielded", trace_id=job.trace_id, key=job.key
-                )
+        abort_reason = "flush aborted"
         try:
-            if local:
-                self._evaluate(local, claims)
+            for job in batch:
+                status, claim_id = self.store.try_claim(
+                    job.key, trace_id=job.trace_id
+                )
+                if status == CLAIM_DONE:
+                    # a sibling finished it between submit and now
+                    with self._lock:
+                        self.stats.inc("resolved_remote")
+                        self._finish(job, DONE)
+                    job.event.set()
+                    obs_trace.emit(
+                        "claim.done", trace_id=job.trace_id, key=job.key
+                    )
+                elif status == CLAIM_WON:
+                    claims[job.key] = claim_id
+                    local.append(job)
+                    with self._lock:
+                        self.stats.inc("claims_won")
+                    obs_trace.emit(
+                        "claim.won",
+                        trace_id=job.trace_id,
+                        key=job.key,
+                        claim_id=claim_id,
+                    )
+                else:
+                    waiting.append(job)
+                    with self._lock:
+                        self.stats.inc("claims_yielded")
+                    obs_trace.emit(
+                        "claim.yielded", trace_id=job.trace_id, key=job.key
+                    )
+            try:
+                if local:
+                    self._evaluate(local, claims)
+            finally:
+                # even when the local batch aborts, jobs leased to
+                # siblings must still resolve — their waiters are
+                # blocked on us
+                if waiting:
+                    self._await_siblings(waiting)
+        except Exception as error:
+            abort_reason = (
+                f"flush aborted: {type(error).__name__}: {error}"
+            )
+            raise
         finally:
-            # even when the local batch aborts, jobs leased to siblings
-            # must still resolve — their waiters are blocked on us
-            if waiting:
-                self._await_siblings(waiting)
+            # a claim or poll that raised (full disk, I/O error) must
+            # not strand the rest of the batch in RUNNING
+            self._fail_running(batch, claims, abort_reason)
             self.flush_seconds.observe(time.monotonic() - flush_start)
         return len(batch)
 
@@ -462,7 +477,9 @@ class ExplorationService:
 
         A successful ``put`` retires the key's claim by itself; failed
         or aborted jobs release theirs explicitly so sibling servers
-        can retry immediately instead of waiting out the lease.
+        can retry immediately instead of waiting out the lease.  A
+        ``put`` that cannot be written (full disk, I/O error) fails
+        only its own job, with the error as the reason.
         """
         abort_reason = "batch evaluation aborted"
         eval_start = time.monotonic()
@@ -471,15 +488,22 @@ class ExplorationService:
             eval_ms = round((time.monotonic() - eval_start) * 1000.0, 3)
             with self._lock:
                 for job, outcome in zip(batch, outcomes):
+                    self.stats.inc("evaluated")
+                    error = outcome.error
                     if outcome.ok:
-                        self.store.put_result(job.key, outcome.result)
-                        self._finish(job, DONE)
-                        self.stats.inc("evaluated")
-                    else:
-                        self._release_claim(job.key, claims)
-                        self._finish(job, FAILED, outcome.error)
-                        self.stats.inc("evaluated")
-                        self.stats.inc("failed")
+                        try:
+                            self.store.put_result(job.key, outcome.result)
+                        except (OSError, StoreError) as put_error:
+                            error = (
+                                "storing the result failed: "
+                                f"{type(put_error).__name__}: {put_error}"
+                            )
+                        else:
+                            self._finish(job, DONE)
+                            continue
+                    self._release_claim(job.key, claims)
+                    self._finish(job, FAILED, error)
+                    self.stats.inc("failed")
             for job, outcome in zip(batch, outcomes):
                 obs_trace.emit(
                     "evaluate",
@@ -489,7 +513,7 @@ class ExplorationService:
                     batch_ms=eval_ms,
                     ok=bool(outcome.ok),
                 )
-                if outcome.ok:
+                if job.status == DONE:
                     obs_trace.emit(
                         "store.put", trace_id=job.trace_id, key=job.key
                     )
@@ -502,22 +526,45 @@ class ExplorationService:
             )
             raise
         finally:
-            # Waiters must never hang: anything the batch left in
-            # RUNNING (runner/store raised) fails loudly instead.
+            self._fail_running(batch, claims, abort_reason)
+
+    def _fail_running(
+        self, batch: list[_Job], claims: dict[str, str], reason: str
+    ) -> None:
+        """Fail every job *batch* left RUNNING and wake all its waiters.
+
+        Waiters must never hang: a runner or store that raised leaves
+        jobs in RUNNING, which fail loudly here with *reason*, and
+        every waiter wakes even if that bookkeeping raises.
+        """
+        try:
             with self._lock:
                 for job in batch:
                     if job.status == RUNNING:
                         self._release_claim(job.key, claims)
-                        self._finish(job, FAILED, abort_reason)
+                        self._finish(job, FAILED, reason)
                         self.stats.inc("failed")
                         self.stats.inc("aborted")
+        finally:
             for job in batch:
                 job.event.set()
 
     def _release_claim(self, key: str, claims: dict[str, str]) -> None:
+        """Retire our lease on *key*; an unwritable release is left to
+        expire by TTL rather than abort the caller's bookkeeping."""
         claim_id = claims.pop(key, None)
-        if claim_id is not None:
+        if claim_id is None:
+            return
+        try:
             self.store.release_claim(key, claim_id)
+        except (OSError, StoreError) as error:
+            _log.warning(
+                "could not release the claim on %s (%s: %s); "
+                "it expires by TTL",
+                key,
+                type(error).__name__,
+                error,
+            )
 
     def wake_sibling_waiters(self) -> None:
         """Wake sleeping sibling-claim pollers for one early re-check.

@@ -1,33 +1,27 @@
-"""Socket front ends: one exploration service, many networked tenants.
+"""Socket front end: one exploration service, many networked tenants.
 
-Two transports serve the same line-delimited JSON-RPC protocol
-``repro serve`` runs over stdio — one request object per line, one
-response object per line, encoded by the same
+:class:`AsyncExplorationServer` serves the same line-delimited
+JSON-RPC protocol ``repro serve`` runs over stdio — one request object
+per line, one response object per line, encoded by the same
 :func:`~repro.service.rpc.encode_response`, so a request answered over
-a socket is byte-identical to the stdio answer:
+a socket is byte-identical to the stdio answer.  It is a
+**multiplexed event-loop transport**: one asyncio loop accepts and
+frames every connection, each request is dispatched to a bounded
+thread executor over the shared service, and responses are written
+back **as they complete — out of order within a connection**.  A slow
+``submit`` pipelined ahead of a fast ``stats`` does not
+head-of-line-block it, and thousands of mostly-idle connections cost
+file descriptors, not threads.  The serialized stdio loop stays the
+byte-identity reference.
 
-* :class:`AsyncExplorationServer` (the default) — a **multiplexed
-  event-loop transport**: one asyncio loop accepts and frames every
-  connection, each request is dispatched to a bounded thread executor
-  over the shared service, and responses are written back **as they
-  complete — out of order within a connection**.  A slow ``submit``
-  pipelined ahead of a fast ``stats`` no longer head-of-line-blocks
-  it, and thousands of mostly-idle connections cost file descriptors,
-  not threads.
-* :class:`ExplorationServer` (``--transport threads``) — the
-  thread-per-connection reference implementation: requests on one
-  connection are answered strictly in request order, at the cost of
-  one thread per connection and head-of-line blocking behind slow
-  requests.
-
-Multi-tenancy model (both transports):
+Multi-tenancy model:
 
 * every **connection** gets its own :class:`JsonRpcFrontend` over the
   one shared :class:`ExplorationService`, so the result cache and
   in-flight deduplication span all tenants while a client's
   ``shutdown`` request ends only *its* connection (a multi-tenant
   server must not be killable by one tenant; stop the server itself
-  with SIGINT/SIGTERM or :meth:`~ExplorationServer.drain`);
+  with SIGINT/SIGTERM or :meth:`~AsyncExplorationServer.drain`);
 * a **bounded admission queue** (``max_pending``) caps *requests in
   flight* across all connections — not connections, which may idle in
   the thousands.  A request arriving past the cap is answered
@@ -42,9 +36,9 @@ The ``stats`` RPC gains a ``"server"`` section (transport name,
 connections, requests, busy/draining rejections, in-flight gauge) on
 top of the service, store and pool counters.
 
-Unix-socket path claiming is serialized through an O_EXCL pid-stamped
-``<path>.lock`` file (the ``evict.lock`` pattern from
-:mod:`repro.service.store`): two servers starting simultaneously on
+Unix-socket path claiming is serialized through a ``<path>.lock``
+file (a :mod:`repro.service.pidlock` lock, like the store's
+``evict.lock``): two servers starting simultaneously on
 the same dead socket path cannot both conclude it is stale and race
 the unlink/bind — one wins the lock, reclaims and binds; the other
 then probes a *live* socket and refuses.
@@ -60,14 +54,13 @@ import os
 import pathlib
 import signal
 import socket
-import socketserver
 import threading
-import time
 
 from repro.errors import ServiceError, ValidationError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.search.config import AssignerSpec
+from repro.service import pidlock
 from repro.service.queue import ExplorationService
 from repro.service.rpc import (
     SERVER_BUSY,
@@ -80,7 +73,6 @@ __all__ = [
     "DEFAULT_EXECUTOR_WORKERS",
     "DEFAULT_MAX_PENDING",
     "AsyncExplorationServer",
-    "ExplorationServer",
     "parse_listen_address",
     "serve_until_signalled",
 ]
@@ -153,24 +145,6 @@ def _line_trace_id(line: str) -> str | None:
     return None
 
 
-def _make_server_metrics() -> tuple[MetricsRegistry, dict]:
-    """One registry + the shared counter set for a server transport."""
-    registry = MetricsRegistry()
-    counters = {
-        "connections_total": registry.counter(
-            "repro_server_connections_total", "Connections accepted."),
-        "requests_total": registry.counter(
-            "repro_server_requests_total", "Requests admitted."),
-        "rejected_busy": registry.counter(
-            "repro_server_rejected_busy_total",
-            "Requests rejected by the admission cap (-32001)."),
-        "rejected_draining": registry.counter(
-            "repro_server_rejected_draining_total",
-            "Requests rejected while draining (-32002)."),
-    }
-    return registry, counters
-
-
 def _reject(line: str, code: int, message: str) -> dict:
     return {
         "jsonrpc": "2.0",
@@ -190,8 +164,8 @@ def _is_shutdown_request(line: str) -> bool:
     """Would this line, dispatched, succeed as a ``shutdown``?
 
     The async reader stops reading a connection at the first
-    successful ``shutdown`` — exactly where the serialized transports
-    stop — while the request itself still flows through the normal
+    successful ``shutdown`` — exactly where the serialized stdio loop
+    stops — while the request itself still flows through the normal
     dispatch path for a byte-identical acknowledgement.  The substring
     probe keeps the double-parse off the hot path.
     """
@@ -211,93 +185,31 @@ def _is_shutdown_request(line: str) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - priv pid
-        return True
-    return True
-
-
-def _read_lock_owner(path: pathlib.Path) -> int | None:
-    try:
-        return int(path.read_text().strip())
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError):
-        return None
-
-
-def _reclaim_dead_lock(path: pathlib.Path) -> bool:
-    """Atomically take over a dead claimer's lock file; True on success.
-
-    Same rename-takeover protocol as the store's ``evict.lock``:
-    unlinking by name would race a concurrent reclaimer that already
-    replaced the stale file with its own live lock, so the suspect
-    file is renamed to a per-pid name first (atomic, single winner)
-    and only the renamed file is inspected and deleted.
-    """
-    claim = path.with_name(f"{path.name}.reclaim-{os.getpid()}")
-    try:
-        os.rename(path, claim)
-    except OSError:
-        return False  # someone else reclaimed (or released) first
-    try:
-        owner = int(claim.read_text().strip())
-    except (OSError, ValueError):
-        owner = None
-    if owner is not None and _pid_alive(owner):
-        # we lost a read/decide race against a live claimer: restore
-        try:  # pragma: no cover - narrow double-race window
-            os.rename(claim, path)
-        except OSError:
-            claim.unlink(missing_ok=True)
-        return False
-    claim.unlink(missing_ok=True)
-    return True
-
-
 @contextlib.contextmanager
 def _socket_path_lock(path: pathlib.Path):
     """Serialize stale-socket reclaim + bind on *path* across processes.
 
-    O_EXCL pid-stamped ``<path>.lock``, held from the liveness probe
-    through the bind: without it, two servers starting simultaneously
-    on the same dead socket path can both probe it stale and race the
-    unlink/bind.  A lock whose recorded pid is dead (crashed claimer)
-    is taken over; a live claimer is waited on briefly, then refused.
+    A :mod:`repro.service.pidlock` lock on ``<path>.lock``, held from
+    the liveness probe through the bind: without it, two servers
+    starting simultaneously on the same dead socket path can both probe
+    it stale and race the unlink/bind.  A crashed claimer's lock is
+    taken over; a live claimer is waited on briefly, then refused.
     """
     lock_path = path.with_name(path.name + ".lock")
-    deadline = time.monotonic() + _SOCKET_LOCK_TIMEOUT_S
-    while True:
+    if not pidlock.acquire(lock_path, _SOCKET_LOCK_TIMEOUT_S):
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            try:
-                owner = _read_lock_owner(lock_path)
-            except FileNotFoundError:
-                continue  # freed between open and read; retry the create
-            if owner is not None and not _pid_alive(owner):
-                _reclaim_dead_lock(lock_path)
-                continue
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"socket path {path} is being claimed by another "
-                    f"server (pid {owner}); retry once it finishes, or "
-                    f"delete {lock_path} if that process is gone"
-                ) from None
-            time.sleep(0.05)
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-    finally:
-        os.close(fd)
+            owner = pidlock.read_owner(lock_path)
+        except FileNotFoundError:
+            owner = None
+        raise ServiceError(
+            f"socket path {path} is being claimed by another "
+            f"server (pid {owner}); retry once it finishes, or "
+            f"delete {lock_path} if that process is gone"
+        )
     try:
         yield
     finally:
-        lock_path.unlink(missing_ok=True)
+        pidlock.release(lock_path)
 
 
 def _probe_socket_path(path: pathlib.Path) -> None:
@@ -322,40 +234,25 @@ def _probe_socket_path(path: pathlib.Path) -> None:
         probe.close()
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: a private frontend over the shared service."""
+class AsyncExplorationServer:
+    """Multiplexed event-loop JSON-RPC server over one shared service.
 
-    def handle(self) -> None:  # pragma: no cover - exercised via server
-        self.server.exploration._handle_connection(self.rfile, self.wfile)
+    One asyncio loop (on its own thread) accepts and frames every
+    connection; each admitted request line is handed to a bounded
+    :class:`~concurrent.futures.ThreadPoolExecutor` running the
+    reentrant :meth:`JsonRpcFrontend.dispatch`, and the response is
+    written back the moment it completes — **out of order within a
+    connection**, correlated by JSON-RPC ``id``.  A slow ``submit``
+    pipelined ahead of a fast ``stats`` on the same socket therefore
+    no longer blocks it, and idle connections cost a file descriptor
+    each, not a thread.
 
-
-class _ThreadingTcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's default backlog of 5 puts a connection storm into
-    # kernel SYN-retransmit backoff (seconds per connect); match the
-    # async transport's accept backlog instead
-    request_queue_size = _ACCEPT_BACKLOG
-
-
-if hasattr(socketserver, "ThreadingUnixStreamServer"):
-
-    class _ThreadingUnixServer(socketserver.ThreadingUnixStreamServer):
-        daemon_threads = True
-        request_queue_size = _ACCEPT_BACKLOG
-
-else:  # pragma: no cover - non-posix
-    _ThreadingUnixServer = None
-
-
-class ExplorationServer:
-    """Thread-per-connection JSON-RPC server over one shared service.
-
-    The serialized reference transport (``repro serve --transport
-    threads``): responses on a connection come back strictly in
-    request order, so a slow request head-of-line-blocks every
-    pipelined request behind it, and every connection costs a thread.
-    :class:`AsyncExplorationServer` is the multiplexed default.
+    Contract-compatible with the stdio loop: byte-identical response
+    encoding, and per-connection ``shutdown`` (reading stops at
+    the first successful shutdown; every in-flight response, including
+    the acknowledgement, is still written before the connection
+    closes).  On top it adds ``-32001`` admission over *in-flight
+    requests* and ``-32002`` graceful drain.
 
     Parameters
     ----------
@@ -372,221 +269,6 @@ class ExplorationServer:
     max_pending:
         Admission cap: requests in flight across all connections
         beyond this are answered with ``SERVER_BUSY``.
-    """
-
-    def __init__(
-        self,
-        service: ExplorationService,
-        listen: tuple[str, int] | None = None,
-        socket_path: str | pathlib.Path | None = None,
-        default_assigner: AssignerSpec | None = None,
-        max_pending: int = DEFAULT_MAX_PENDING,
-    ):
-        if (listen is None) == (socket_path is None):
-            raise ServiceError(
-                "pass exactly one of listen=(host, port) or socket_path"
-            )
-        if max_pending <= 0:
-            raise ServiceError("max_pending must be positive")
-        self.service = service
-        self.default_assigner = default_assigner
-        self.max_pending = max_pending
-        self._admission = threading.BoundedSemaphore(max_pending)
-        self._draining = threading.Event()
-        self._state_lock = threading.Lock()
-        self._idle = threading.Condition(self._state_lock)
-        self._in_flight = 0
-        self._connections_active = 0
-        self.metrics, self._counters = _make_server_metrics()
-        self.metrics.gauge(
-            "repro_server_in_flight", "Requests currently executing."
-        ).set_fn(lambda: self._in_flight)
-        self.metrics.gauge(
-            "repro_server_connections_active", "Open client connections."
-        ).set_fn(lambda: self._connections_active)
-        self.metrics.gauge(
-            "repro_server_max_pending", "Admission cap."
-        ).set_fn(lambda: self.max_pending)
-        self._serving = threading.Event()
-        self._socket_path = (
-            pathlib.Path(socket_path) if socket_path is not None else None
-        )
-        if self._socket_path is not None:
-            if _ThreadingUnixServer is None:  # pragma: no cover - non-posix
-                raise ServiceError(
-                    "unix domain sockets are not available on this platform"
-                )
-            with _socket_path_lock(self._socket_path):
-                _probe_socket_path(self._socket_path)
-                self._server = _ThreadingUnixServer(
-                    str(self._socket_path), _Handler
-                )
-        else:
-            self._server = _ThreadingTcpServer(listen, _Handler)
-        # the handler reaches back through the socketserver instance
-        self._server.exploration = self
-
-    # ------------------------------------------------------------------
-    # connection + request handling
-    # ------------------------------------------------------------------
-
-    def _handle_connection(self, rfile, wfile) -> None:
-        frontend = JsonRpcFrontend(
-            self.service,
-            default_assigner=self.default_assigner,
-            server_stats=self.stats,
-            server_registry=self.metrics,
-        )
-        with self._state_lock:
-            self._counters["connections_total"].inc()
-            self._connections_active += 1
-        obs_trace.emit("accept", transport="threads")
-        try:
-            for raw in rfile:
-                response = self._handle_request(
-                    frontend, raw.decode("utf-8", errors="replace")
-                )
-                if response is None:
-                    continue
-                wfile.write((encode_response(response) + "\n").encode("utf-8"))
-                wfile.flush()
-                if not frontend.running:
-                    break
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the tenant went away; its in-flight work is cached
-        finally:
-            with self._state_lock:
-                self._connections_active -= 1
-
-    def _handle_request(
-        self, frontend: JsonRpcFrontend, line: str
-    ) -> dict | None:
-        if not line.strip():
-            return None
-        trace_id = _line_trace_id(line) if obs_trace.enabled() else None
-        if self._draining.is_set():
-            self._counters["rejected_draining"].inc()
-            obs_trace.emit(
-                "reject.draining", trace_id=trace_id, transport="threads"
-            )
-            return _reject(line, SERVER_DRAINING, _DRAINING_MESSAGE)
-        if not self._admission.acquire(blocking=False):
-            self._counters["rejected_busy"].inc()
-            obs_trace.emit(
-                "reject.busy", trace_id=trace_id, transport="threads"
-            )
-            return _reject(line, SERVER_BUSY, _busy_message(self.max_pending))
-        with self._state_lock:
-            self._in_flight += 1
-        self._counters["requests_total"].inc()
-        obs_trace.emit("admit", trace_id=trace_id, transport="threads")
-        try:
-            return frontend.handle_line(line)
-        finally:
-            self._admission.release()
-            with self._idle:
-                self._in_flight -= 1
-                self._idle.notify_all()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    @property
-    def address(self):
-        """The bound address: ``(host, port)`` for TCP, path for Unix."""
-        if self._socket_path is not None:
-            return str(self._socket_path)
-        return self._server.server_address
-
-    def serve_forever(self) -> None:
-        """Accept and serve connections until :meth:`drain` (blocking)."""
-        self._serving.set()
-        self._server.serve_forever(poll_interval=0.05)
-
-    def start(self) -> threading.Thread:
-        """Run :meth:`serve_forever` on a background thread."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="mhla-server", daemon=True
-        )
-        thread.start()
-        return thread
-
-    def drain(self, timeout: float | None = 30.0) -> bool:
-        """Graceful stop: reject new work, let in-flight work finish.
-
-        Returns True when the server went idle within *timeout*
-        (False means in-flight requests were abandoned to their daemon
-        threads).  Idempotent.  Also shuts the persistent worker pool
-        down, so no worker processes outlive the server.
-        """
-        from repro.analysis.pool import get_pool
-
-        self._draining.set()
-        self.service.wake_sibling_waiters()
-        if self._serving.is_set():
-            self._server.shutdown()  # stops serve_forever + accepting
-            self._serving.clear()
-        with self._idle:
-            drained = self._idle.wait_for(
-                lambda: self._in_flight == 0, timeout
-            )
-        self._server.server_close()
-        if self._socket_path is not None:
-            self._socket_path.unlink(missing_ok=True)
-        get_pool().shutdown()
-        return drained
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Connection/admission counters (the ``stats`` RPC's server part)."""
-        with self._state_lock:
-            return {
-                "transport": "threads",
-                "connections_total": self._counters["connections_total"].value,
-                "connections_active": self._connections_active,
-                "requests_total": self._counters["requests_total"].value,
-                "in_flight": self._in_flight,
-                "rejected_busy": self._counters["rejected_busy"].value,
-                "rejected_draining": (
-                    self._counters["rejected_draining"].value
-                ),
-                "max_pending": self.max_pending,
-                # no executor on this transport (each connection gets a
-                # thread); the key is present so both transports expose
-                # an identical stats shape.
-                "executor_workers": None,
-                "draining": self._draining.is_set(),
-            }
-
-
-class AsyncExplorationServer:
-    """Multiplexed event-loop JSON-RPC server over one shared service.
-
-    One asyncio loop (on its own thread) accepts and frames every
-    connection; each admitted request line is handed to a bounded
-    :class:`~concurrent.futures.ThreadPoolExecutor` running the
-    reentrant :meth:`JsonRpcFrontend.dispatch`, and the response is
-    written back the moment it completes — **out of order within a
-    connection**, correlated by JSON-RPC ``id``.  A slow ``submit``
-    pipelined ahead of a fast ``stats`` on the same socket therefore
-    no longer blocks it, and idle connections cost a file descriptor
-    each, not a thread.
-
-    Contract-compatible with :class:`ExplorationServer`: byte-identical
-    response encoding, per-connection ``shutdown`` (reading stops at
-    the first successful shutdown; every in-flight response, including
-    the acknowledgement, is still written before the connection
-    closes), ``-32001`` admission over *in-flight requests*, and
-    ``-32002`` graceful drain.
-
-    Parameters
-    ----------
-    service, listen, socket_path, default_assigner, max_pending:
-        As for :class:`ExplorationServer`.
     executor_workers:
         Dispatch threads.  Bounds evaluation concurrency; requests
         beyond it queue (still counted in flight, so ``max_pending``
@@ -625,7 +307,19 @@ class AsyncExplorationServer:
         self._state_lock = threading.Lock()
         self._in_flight = 0
         self._connections_active = 0
-        self.metrics, self._counters = _make_server_metrics()
+        self.metrics = MetricsRegistry()
+        self._counters = {
+            "connections_total": self.metrics.counter(
+                "repro_server_connections_total", "Connections accepted."),
+            "requests_total": self.metrics.counter(
+                "repro_server_requests_total", "Requests admitted."),
+            "rejected_busy": self.metrics.counter(
+                "repro_server_rejected_busy_total",
+                "Requests rejected by the admission cap (-32001)."),
+            "rejected_draining": self.metrics.counter(
+                "repro_server_rejected_draining_total",
+                "Requests rejected while draining (-32002)."),
+        }
         self.metrics.gauge(
             "repro_server_in_flight", "Requests currently executing."
         ).set_fn(lambda: self._in_flight)
@@ -655,7 +349,7 @@ class AsyncExplorationServer:
         # Bind synchronously in the constructor — before the loop even
         # exists — so `address` (an ephemeral port, announced on
         # stdout by the CLI) is known immediately, and a live socket
-        # path is refused at construction like the threading server.
+        # path is refused at construction.
         if self._socket_path is not None:
             if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-posix
                 raise ServiceError(
@@ -944,16 +638,13 @@ class AsyncExplorationServer:
             }
 
 
-def serve_until_signalled(
-    server: "ExplorationServer | AsyncExplorationServer",
-) -> int:
+def serve_until_signalled(server: AsyncExplorationServer) -> int:
     """Run *server* until SIGINT/SIGTERM, then drain; the CLI body.
 
     The server loop runs on a background thread while the main thread
     waits for a signal — calling shutdown from inside a signal handler
     on the serving thread would deadlock, so the handler only sets an
-    event.  Works for either transport: both expose ``start()`` and a
-    thread-safe ``drain()``.
+    event.
     """
     stop = threading.Event()
 

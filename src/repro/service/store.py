@@ -74,10 +74,10 @@ tail-replayed in file order; a sealed-segment set that changed
 underneath (a sibling sealed or compacted) triggers a full reload, so
 :meth:`ResultStore.get` never serves from an index a compaction made
 stale.  Eviction bounds are enforced *cross-process*: before selecting
-victims the store acquires ``evict.lock`` (same pid-stamped,
-stale-reclaimed protocol as ``compact.lock``) and re-syncs, so N
-writers against one ``max_bytes`` directory converge within the bound
-instead of each enforcing it against a private view.  Pins remain
+victims the store acquires ``evict.lock`` (a :mod:`repro.service.pidlock`
+lock, like ``compact.lock``) and re-syncs, so N writers against one
+``max_bytes`` directory converge within the bound instead of each
+enforcing it against a private view.  Pins remain
 per-process: a sibling may evict a key another process pinned, which
 costs a re-evaluation, never a wrong result.
 
@@ -109,6 +109,7 @@ from repro.analysis.export import result_from_state, result_to_state
 from repro.core.mhla import MhlaResult
 from repro.errors import ReproError, StoreError
 from repro.obs.metrics import MetricsRegistry
+from repro.service import pidlock
 from repro.service.keys import is_content_key
 
 STORE_FORMAT_VERSION = 1
@@ -132,8 +133,8 @@ writers doing that concurrently against private views is exactly the
 per-process eviction hole — each sees only its own records and the
 union blows past the bound.  The lock serialises the decision; the
 sync *inside* the lock folds every sibling's records into the view the
-victims are selected from.  The protocol is the same pid-stamped,
-stale-reclaimed one as ``compact.lock``.  Acquisition is bounded
+victims are selected from.  Like ``compact.lock`` it is a
+:mod:`repro.service.pidlock` lock.  Acquisition is bounded
 (:data:`EVICT_LOCK_TIMEOUT_S`): a timeout degrades to unlocked
 enforcement against the synced view, which can at worst over-evict —
 never exceed the bound.
@@ -267,6 +268,10 @@ class ResultStore:
         # in-flight claims by key (latest winning claim payload); keys
         # never overlap _index — a data record retires its claim
         self._claims: dict[str, dict] = {}
+        # claim ids must differ between stores, including two stores of
+        # one process (same server_id) on one directory: replay names
+        # the winner by claim id, so a shared id would let both win
+        self._claim_prefix = f"{self.server_id}:{os.urandom(4).hex()}"
         self._claim_counter = 0
         self._sealed_since_check = False
         self._pins: dict[str, int] = {}
@@ -329,7 +334,12 @@ class ResultStore:
         self._dir = pathlib.Path(path) if path is not None else None
         self._file = self._dir / RESULTS_FILENAME if self._dir else None
         if self._dir is not None:
-            self._open_time_lock_reclaim()
+            # a crashed compactor's lock is cleared on (re)open; a live
+            # or unreadable owner's is left alone — its compaction may
+            # genuinely be running
+            owner = self._lock_pid(COMPACT_LOCK_FILENAME)
+            if owner is not None and not pidlock.pid_alive(owner):
+                pidlock.reclaim(self._dir / COMPACT_LOCK_FILENAME)
             self._load_directory()
             # An existing log may exceed freshly configured bounds; a
             # pure-hit workload would otherwise never trigger eviction.
@@ -794,7 +804,7 @@ class ResultStore:
     ) -> dict:
         self._claim_counter += 1
         payload = {
-            "claim_id": f"{self.server_id}:{self._claim_counter}",
+            "claim_id": f"{self._claim_prefix}:{self._claim_counter}",
             "pid": os.getpid(),
             "server": self.server_id,
             "claimed_at": now,
@@ -849,7 +859,7 @@ class ResultStore:
             local
             and isinstance(pid, int)
             and pid != os.getpid()
-            and not self._pid_alive(pid)
+            and not pidlock.pid_alive(pid)
         )
 
     def try_claim(
@@ -1099,7 +1109,11 @@ class ResultStore:
         self._sync()
         if not self._over_limit(max_bytes, max_records):
             return 0
-        locked = self._acquire_evict_lock()
+        lock = self._dir / EVICT_LOCK_FILENAME
+        self._dir.mkdir(parents=True, exist_ok=True)
+        locked = pidlock.acquire(lock, EVICT_LOCK_TIMEOUT_S)
+        if not locked:
+            self._evict_lock_timeouts.inc()
         try:
             self._sync()
             victims = self._select_victims(max_bytes, max_records, protect)
@@ -1107,7 +1121,7 @@ class ResultStore:
             return len(victims)
         finally:
             if locked:
-                self._release_evict_lock()
+                pidlock.release(lock)
 
     def _enforce_limits(self, protect: str | None = None) -> int:
         return self._evict_to(self.max_bytes, self.max_records, protect)
@@ -1194,56 +1208,31 @@ class ResultStore:
         if self.crash_hook is not None:
             self.crash_hook(name)
 
-    # -- compaction lock ------------------------------------------------
+    # -- lock files (repro.service.pidlock) ----------------------------
 
-    def _compact_lock_path(self) -> pathlib.Path:
-        return self._dir / COMPACT_LOCK_FILENAME
-
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
+    def _lock_pid(self, name: str) -> int | None:
+        """Pid recorded in lock file *name*, None when absent/unreadable."""
         try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OSError):  # pragma: no cover - priv pid
-            return True
-        return True
-
-    @staticmethod
-    def _read_lock_owner(path: pathlib.Path) -> int | None:
-        """Pid recorded in a lock file, None when unreadable.
-
-        Raises :class:`FileNotFoundError` when the lock is absent, so
-        callers can distinguish "free" from "held by unknown pid".
-        """
-        try:
-            return int(path.read_text().strip())
+            return pidlock.read_owner(self._dir / name)
         except FileNotFoundError:
-            raise
-        except (OSError, ValueError):
             return None
-
-    def _lock_owner(self) -> int | None:
-        """Pid recorded in the compact lock, None when absent/unreadable."""
-        return self._read_lock_owner(self._compact_lock_path())
 
     def _check_compact_lock(self) -> None:
         """Refuse to write while another process's compaction runs.
 
         A lock whose recorded pid is dead is a leftover of a crashed
         compactor: it does not block writers (and is *not* deleted
-        here — only the atomic rename-takeover in
-        :meth:`_reclaim_stale_compact_lock` ever removes a lock, so a
-        live compactor's fresh lock can never be unlinked by a racer
-        that read the file moments earlier).
+        here — only :func:`pidlock.reclaim`'s atomic rename-takeover
+        ever removes a lock, so a live compactor's fresh lock can never
+        be unlinked by a racer that read the file moments earlier).
         """
         if self._dir is None or self._holding_compact_lock:
             return
         try:
-            owner = self._lock_owner()
+            owner = pidlock.read_owner(self._dir / COMPACT_LOCK_FILENAME)
         except FileNotFoundError:
             return
-        if owner is not None and not self._pid_alive(owner):
+        if owner is not None and not pidlock.pid_alive(owner):
             return  # stale leftover; acquire-path takeover will clear it
         raise StoreError(
             f"cache directory {self._dir} is locked by an in-progress "
@@ -1252,142 +1241,19 @@ class ResultStore:
         )
 
     def _acquire_compact_lock(self) -> None:
-        path = self._compact_lock_path()
+        path = self._dir / COMPACT_LOCK_FILENAME
         self._dir.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                owner = None
-                try:
-                    owner = self._lock_owner()
-                except FileNotFoundError:  # lock freed between open and read
-                    continue
-                if (
-                    attempt == 0
-                    and owner is not None
-                    and not self._pid_alive(owner)
-                    and self._reclaim_stale_compact_lock()
-                ):
-                    continue  # stale lock taken over; retry the create
-                raise StoreError(
-                    f"another compaction already holds {path} (pid {owner}); "
-                    "offline compaction is single-writer"
-                ) from None
-            try:
-                os.write(fd, str(os.getpid()).encode("ascii"))
-            finally:
-                os.close(fd)
-            self._holding_compact_lock = True
-            return
-        raise StoreError(  # pragma: no cover - persistent create race
-            f"could not acquire {path}; another compactor keeps claiming it"
-        )
+        if not pidlock.acquire(path, timeout_s=0):
+            raise StoreError(
+                f"another compaction already holds {path} "
+                f"(pid {self._lock_pid(COMPACT_LOCK_FILENAME)}); "
+                "offline compaction is single-writer"
+            )
+        self._holding_compact_lock = True
 
     def _release_compact_lock(self) -> None:
         self._holding_compact_lock = False
-        self._compact_lock_path().unlink(missing_ok=True)
-
-    def _reclaim_stale_compact_lock(self) -> bool:
-        """Atomically take over a dead compactor's lock; True on success."""
-        return self._reclaim_stale_lock(self._compact_lock_path())
-
-    def _reclaim_stale_lock(self, path: pathlib.Path) -> bool:
-        """Atomically take over a dead owner's lock file; True on success.
-
-        Unlinking the lock by name would race a concurrent reclaimer:
-        between *reading* the dead pid and *unlinking*, another process
-        may have reclaimed the stale file and created its own live
-        lock, which a plain unlink would then silently destroy.
-        Instead the suspect file is **renamed** to a name unique to
-        this process — rename is atomic, so exactly one reclaimer wins
-        and the loser's rename raises — and only the renamed file
-        (which nothing else references) is inspected and deleted.  If
-        the renamed file unexpectedly names a live pid, it is restored.
-        """
-        if self._dir is None:
-            return False
-        claim = self._dir / f"{path.name}.reclaim-{os.getpid()}"
-        try:
-            os.rename(path, claim)
-        except OSError:
-            return False  # someone else reclaimed (or released) first
-        try:
-            owner = int(claim.read_text().strip())
-        except (OSError, ValueError):
-            owner = None
-        if owner is not None and self._pid_alive(owner):
-            # The file we grabbed belongs to a live compactor after
-            # all (we lost a read/decide race): put it back.
-            try:  # pragma: no cover - narrow double-race window
-                os.rename(claim, path)
-            except OSError:
-                claim.unlink(missing_ok=True)
-            return False
-        claim.unlink(missing_ok=True)
-        return True
-
-    def _open_time_lock_reclaim(self) -> None:
-        """Clear a crashed compactor's lock when (re)opening a directory.
-
-        A lock whose recorded pid is still alive is left alone — its
-        compaction may genuinely be running.  An unreadable pid is
-        treated as alive (conservative).
-        """
-        if self._dir is None:
-            return
-        try:
-            owner = self._lock_owner()
-        except FileNotFoundError:
-            return
-        if owner is not None and not self._pid_alive(owner):
-            self._reclaim_stale_compact_lock()
-
-    # -- eviction lock --------------------------------------------------
-
-    def _evict_lock_path(self) -> pathlib.Path:
-        return self._dir / EVICT_LOCK_FILENAME
-
-    def _acquire_evict_lock(
-        self, timeout_s: float = EVICT_LOCK_TIMEOUT_S
-    ) -> bool:
-        """Take ``evict.lock``, waiting up to *timeout_s*; False on timeout.
-
-        Unlike the compact lock (held for a whole offline rewrite and
-        therefore contended loudly), eviction decisions are short, so
-        contention is waited out with exponential backoff.  A holder
-        whose pid died is reclaimed through the same atomic-rename
-        takeover as the compact lock.
-        """
-        path = self._evict_lock_path()
-        self._dir.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + timeout_s
-        delay = 0.001
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    owner = self._read_lock_owner(path)
-                except FileNotFoundError:
-                    continue  # freed between open and read; retry now
-                if owner is not None and not self._pid_alive(owner):
-                    self._reclaim_stale_lock(path)
-                    continue
-                if time.monotonic() >= deadline:
-                    self._evict_lock_timeouts.inc()
-                    return False
-                time.sleep(delay)
-                delay = min(delay * 2, 0.05)
-                continue
-            try:
-                os.write(fd, str(os.getpid()).encode("ascii"))
-            finally:
-                os.close(fd)
-            return True
-
-    def _release_evict_lock(self) -> None:
-        self._evict_lock_path().unlink(missing_ok=True)
+        pidlock.release(self._dir / COMPACT_LOCK_FILENAME)
 
     def _fsync_dir(self) -> None:
         try:
@@ -1740,14 +1606,8 @@ class ResultStore:
         if self._dir is None:
             return artifacts
         artifacts["compact_tmp"] = (self._dir / COMPACT_TMP_FILENAME).exists()
-        for label, name in (
-            ("compact_lock_pid", COMPACT_LOCK_FILENAME),
-            ("evict_lock_pid", EVICT_LOCK_FILENAME),
-        ):
-            try:
-                artifacts[label] = self._read_lock_owner(self._dir / name)
-            except FileNotFoundError:
-                artifacts[label] = None
+        artifacts["compact_lock_pid"] = self._lock_pid(COMPACT_LOCK_FILENAME)
+        artifacts["evict_lock_pid"] = self._lock_pid(EVICT_LOCK_FILENAME)
         return artifacts
 
     def __contains__(self, key: str) -> bool:

@@ -19,8 +19,9 @@ analytically (their per-iteration cycle cost is exact), so simulating a
 CIF-size motion-estimation run costs hundreds of events instead of tens
 of millions.
 
-The agreement between simulator and estimator is itself an experiment
-(DESIGN.md: VAL-SIM).
+The agreement between simulator and estimator is itself an experiment:
+the ``simulation`` check of README.md, "Fuzzing & differential
+verification".
 """
 
 from repro.sim.engine import SimStats, Simulator, simulate

@@ -55,6 +55,21 @@ def spawn_serve(*extra_args):
     return proc, (match.group(1), int(match.group(2)))
 
 
+def wait_until_stopped(pid, timeout=10.0):
+    """Block until every thread of *pid* is in the stopped state."""
+    deadline = time.monotonic() + timeout
+    tasks = pathlib.Path(f"/proc/{pid}/task")
+    while time.monotonic() < deadline:
+        states = [
+            (task / "stat").read_text().rsplit(")", 1)[1].split()[0]
+            for task in tasks.iterdir()
+        ]
+        if all(state == "T" for state in states):
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"pid {pid} did not stop within {timeout}s")
+
+
 class SilentListener:
     """Accepts connections and then says nothing — a hung server."""
 
@@ -112,6 +127,9 @@ class TestReadTimeout:
         try:
             assert client.call("stats")["submitted"] == 0  # healthy first
             os.kill(proc.pid, signal.SIGSTOP)
+            # the stop is delivered asynchronously: wait until every
+            # thread is frozen, or the server may still answer
+            wait_until_stopped(proc.pid)
             with pytest.raises(ServiceError, match="no response"):
                 client.call("stats")
         finally:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.store as store_module
 from repro.service.keys import canonical_json
 from repro.service.store import (
     CLAIM_DONE,
@@ -103,14 +104,17 @@ class TestSharedBoundEnforcement:
         self, tmp_path, monkeypatch
     ):
         store = ResultStore(tmp_path, max_records=5)
-        monkeypatch.setattr(
-            store, "_acquire_evict_lock", lambda *a, **k: False
-        )
+        # a live sibling (this process) holds evict.lock throughout
+        lock = tmp_path / EVICT_LOCK_FILENAME
+        lock.write_text(str(os.getpid()))
+        monkeypatch.setattr(store_module, "EVICT_LOCK_TIMEOUT_S", 0.0)
         for index in range(20):
             store.put(key_of(index), KIND_FUZZ_VERDICT, payload_of(index))
         # unlocked degradation may over-evict, but never over-retain
         assert len(store) <= 5
         assert len(ResultStore(tmp_path)) <= 5
+        assert store.stats()["evict_lock_timeouts"] >= 1
+        assert lock.read_text() == str(os.getpid())  # never stolen
 
     def test_stale_evict_lock_is_reclaimed(self, tmp_path):
         (tmp_path / EVICT_LOCK_FILENAME).write_text(str(dead_pid()))
@@ -277,6 +281,17 @@ class TestClaimLeases:
         assert a.release_claim(key_of(3), claim_id)
         status_b, _ = b.try_claim(key_of(3))
         assert status_b == CLAIM_WON
+
+    def test_two_stores_of_one_process_mint_distinct_claim_ids(self, tmp_path):
+        # Same default server_id (host:pid) on both stores.  Replay names
+        # a race's winner by claim id, so equal ids would let two
+        # stores that claimed one key concurrently both win it.
+        a = ResultStore(tmp_path)
+        b = ResultStore(tmp_path)
+        status_a, claim_a = a.try_claim(key_of(6))
+        status_b, claim_b = b.try_claim(key_of(7))
+        assert status_a == status_b == CLAIM_WON
+        assert claim_a != claim_b
 
     def test_release_rejects_a_foreign_claim_id(self, tmp_path):
         a = ResultStore(tmp_path, server_id="a:1")

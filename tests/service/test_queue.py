@@ -248,3 +248,175 @@ class TestFleetClaims:
         assert service.stats.claims_yielded == 1
         assert service.stats.claims_won == 0
         assert service.runner is not None
+
+
+class TestFullDisk:
+    """A store that cannot be written must never strand a waiter."""
+
+    def test_enospc_on_put_fails_jobs_and_wakes_every_waiter(
+        self, tmp_path, counting_runner, monkeypatch
+    ):
+        import errno
+        import threading
+        import time
+
+        store = ResultStore(tmp_path)
+        service = ExplorationService(store=store, runner=counting_runner)
+        cells = [
+            SweepCell(
+                app="voice_coder",
+                platform=PlatformSpec(l1_bytes=kib(l1), l2_bytes=kib(16)),
+                objective=objective,
+            )
+            for l1 in (1, 2, 4)
+            for objective in (Objective.EDP, Objective.CYCLES)
+        ]
+        keys = [service.submit(cell) for cell in cells]
+
+        # the disk fills up the moment the first result is stored:
+        # every later append (result, release, touch) raises ENOSPC
+        disk_full = threading.Event()
+        append_data = store._append_data
+        put_result = store.put_result
+
+        def full_append(data):
+            if disk_full.is_set():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            append_data(data)
+
+        def filling_put(key, result):
+            disk_full.set()
+            return put_result(key, result)
+
+        monkeypatch.setattr(store, "_append_data", full_append)
+        monkeypatch.setattr(store, "put_result", filling_put)
+
+        outcomes = {}
+
+        def wait(key):
+            try:
+                outcomes[key] = service.result(key)
+            except Exception as error:
+                outcomes[key] = error
+
+        waiters = [
+            threading.Thread(target=wait, args=(key,), daemon=True)
+            for key in keys
+        ]
+        for waiter in waiters:
+            waiter.start()
+        deadline = time.monotonic() + 5.0
+        for waiter in waiters:
+            waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(waiter.is_alive() for waiter in waiters), (
+            "result() waiters still blocked after a full-disk flush"
+        )
+        assert disk_full.is_set()
+        assert {service.poll(key) for key in keys} <= {DONE, FAILED}
+        for key in keys:
+            error = outcomes[key]
+            assert isinstance(error, ServiceError), error
+            assert "OSError" in str(error)
+            assert "No space left on device" in str(error)
+        stats = service.stats
+        assert stats.evaluated == len(keys)
+        assert stats.failed == len(keys)
+        assert stats.aborted == 0
+
+    def test_enospc_on_claim_fails_jobs_and_wakes_every_waiter(
+        self, tmp_path, counting_runner, monkeypatch
+    ):
+        import errno
+        import threading
+        import time
+
+        store = ResultStore(tmp_path)
+        service = ExplorationService(store=store, runner=counting_runner)
+        cells = [
+            SweepCell(
+                app="voice_coder",
+                platform=PlatformSpec(l1_bytes=kib(l1), l2_bytes=kib(16)),
+                objective=objective,
+            )
+            for l1 in (1, 2, 4)
+            for objective in (Objective.EDP, Objective.CYCLES)
+        ]
+        keys = [service.submit(cell) for cell in cells]
+
+        # the disk is already full when the batch is flushed: the very
+        # first claim record cannot be written
+        def full_append(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store, "_append_data", full_append)
+
+        outcomes = {}
+
+        def wait(key):
+            try:
+                outcomes[key] = service.result(key)
+            except Exception as error:
+                outcomes[key] = error
+
+        waiters = [
+            threading.Thread(target=wait, args=(key,), daemon=True)
+            for key in keys
+        ]
+        for waiter in waiters:
+            waiter.start()
+        deadline = time.monotonic() + 5.0
+        for waiter in waiters:
+            waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(waiter.is_alive() for waiter in waiters), (
+            "result() waiters still blocked after a full-disk claim"
+        )
+        assert {service.poll(key) for key in keys} == {FAILED}
+        for key in keys:
+            # the flushing waiter sees the OSError itself, the others
+            # a ServiceError that names it
+            error = outcomes[key]
+            assert isinstance(error, (OSError, ServiceError)), error
+            assert "No space left on device" in str(error)
+        stats = service.stats
+        assert stats.evaluated == 0
+        assert stats.failed == len(keys)
+
+    def test_unwritable_claim_release_is_logged_and_left_to_ttl(
+        self, tmp_path, counting_runner, monkeypatch, caplog
+    ):
+        import errno
+        import logging
+
+        store = ResultStore(tmp_path)
+        service = ExplorationService(store=store, runner=counting_runner)
+        # the worker's platform build raises, so the job fails and its
+        # claim must be released — onto a disk that is full
+        bad = SweepCell(
+            app="voice_coder",
+            platform=PlatformSpec(kind="quantum"),
+            objective=Objective.EDP,
+        )
+        key = service.submit(bad)
+
+        def full_release(key, claim_id):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store, "release_claim", full_release)
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            with pytest.raises(ServiceError, match="failed") as failure:
+                service.result(key)
+        # the job reports the evaluation's failure, not the release's
+        assert "No space left on device" not in str(failure.value)
+        assert service.poll(key) == FAILED
+        warnings = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.service"
+        ]
+        assert any(
+            key in message and "expires by TTL" in message
+            and "No space left on device" in message
+            for message in warnings
+        ), warnings
+        # no release reached the log: the lease stays until its TTL
+        assert ResultStore(tmp_path).claim_info(key) is not None

@@ -7,11 +7,9 @@ admission (``SERVER_BUSY`` backpressure), graceful drain
 (``SERVER_DRAINING`` + in-flight completion), per-connection
 ``shutdown`` semantics, and byte-identity with the stdio transport.
 
-Every battery runs against **both transports** — the multiplexed
-async default and the thread-per-connection reference — via the
-parametrized fixtures; the async-only multiplexing semantics (a slow
-request must not head-of-line-block a fast one on the same
-connection) get their own battery at the end.
+The batteries run against :class:`AsyncExplorationServer`; the
+multiplexing semantics (a slow request must not head-of-line-block a
+fast one on the same connection) get their own battery at the end.
 """
 
 import io
@@ -32,7 +30,6 @@ from repro.analysis.sweep import ParallelSweepRunner
 from repro.errors import ServiceError, ValidationError
 from repro.service import (
     AsyncExplorationServer,
-    ExplorationServer,
     ExplorationService,
     RemoteRpcError,
     ResultStore,
@@ -46,9 +43,6 @@ from repro.service.rpc import SERVER_BUSY, SERVER_DRAINING, cell_from_params
 VOICE_CELL = {"app": "voice_coder", "platform": {"l1_kib": 2, "l2_kib": 16}}
 EDGE_CELL = {"app": "edge_detection", "platform": {"l1_kib": 2, "l2_kib": 16}}
 
-TRANSPORTS = {"threads": ExplorationServer, "async": AsyncExplorationServer}
-
-
 def rpc(method, request_id=1, **params):
     return {
         "jsonrpc": "2.0",
@@ -58,19 +52,13 @@ def rpc(method, request_id=1, **params):
     }
 
 
-@pytest.fixture(params=sorted(TRANSPORTS))
-def server_cls(request):
-    """Both transports: every battery must hold for each."""
-    return TRANSPORTS[request.param]
-
-
 @pytest.fixture
-def start_server(server_cls):
+def start_server():
     """Factory: a started TCP server on an ephemeral port, auto-drained."""
     servers = []
 
     def start(service=None, **kwargs):
-        server = server_cls(
+        server = AsyncExplorationServer(
             service if service is not None else ExplorationService(),
             listen=("127.0.0.1", 0),
             **kwargs,
@@ -112,20 +100,20 @@ class TestParseListenAddress:
 
 
 class TestConstruction:
-    def test_exactly_one_endpoint_required(self, server_cls, tmp_path):
+    def test_exactly_one_endpoint_required(self, tmp_path):
         service = ExplorationService()
         with pytest.raises(ServiceError, match="exactly one"):
-            server_cls(service)
+            AsyncExplorationServer(service)
         with pytest.raises(ServiceError, match="exactly one"):
-            server_cls(
+            AsyncExplorationServer(
                 service,
                 listen=("127.0.0.1", 0),
                 socket_path=tmp_path / "mhla.sock",
             )
 
-    def test_max_pending_must_be_positive(self, server_cls):
+    def test_max_pending_must_be_positive(self):
         with pytest.raises(ServiceError, match="max_pending"):
-            server_cls(
+            AsyncExplorationServer(
                 ExplorationService(), listen=("127.0.0.1", 0), max_pending=0
             )
 
@@ -139,7 +127,7 @@ class TestConstruction:
 
 
 class TestTcpRoundtrip:
-    def test_submit_result_stats(self, start_server, server_cls):
+    def test_submit_result_stats(self, start_server):
         server = start_server()
         with ServiceClient(server.address) as client:
             submitted = client.call("submit", VOICE_CELL)
@@ -152,8 +140,7 @@ class TestTcpRoundtrip:
         assert stats["server"]["connections_total"] >= 1
         assert stats["server"]["requests_total"] >= 3
         assert stats["server"]["max_pending"] == server.max_pending
-        expected = "threads" if server_cls is ExplorationServer else "async"
-        assert stats["server"]["transport"] == expected
+        assert stats["server"]["transport"] == "async"
 
     def test_error_responses_carry_the_rpc_code(self, start_server):
         server = start_server()
@@ -258,10 +245,10 @@ class TestBackpressure:
 
 
 class TestDrain:
-    def test_drain_rejects_new_work_and_finishes_in_flight(self, server_cls):
+    def test_drain_rejects_new_work_and_finishes_in_flight(self):
         gate = GateRunner()
         service = ExplorationService(runner=gate)
-        server = server_cls(service, listen=("127.0.0.1", 0))
+        server = AsyncExplorationServer(service, listen=("127.0.0.1", 0))
         server.start()
         slow = ServiceClient(server.address)
         live = ServiceClient(server.address)
@@ -316,9 +303,9 @@ class TestDrain:
 
 
 class TestUnixSocket:
-    def test_roundtrip_and_cleanup(self, server_cls, tmp_path):
+    def test_roundtrip_and_cleanup(self, tmp_path):
         path = tmp_path / "mhla.sock"
-        server = server_cls(ExplorationService(), socket_path=path)
+        server = AsyncExplorationServer(ExplorationService(), socket_path=path)
         server.start()
         try:
             with ServiceClient(path) as client:
@@ -329,14 +316,14 @@ class TestUnixSocket:
         # drain unlinks the socket file so the name is reusable
         assert not path.exists()
 
-    def test_stale_socket_file_is_reclaimed(self, server_cls, tmp_path):
+    def test_stale_socket_file_is_reclaimed(self, tmp_path):
         path = tmp_path / "mhla.sock"
         # a leftover socket file with no server behind it
         leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         leftover.bind(str(path))
         leftover.close()
         assert path.exists()
-        server = server_cls(ExplorationService(), socket_path=path)
+        server = AsyncExplorationServer(ExplorationService(), socket_path=path)
         server.start()
         try:
             with ServiceClient(path) as client:
@@ -344,13 +331,13 @@ class TestUnixSocket:
         finally:
             server.drain(timeout=10.0)
 
-    def test_live_socket_path_is_refused(self, server_cls, tmp_path):
+    def test_live_socket_path_is_refused(self, tmp_path):
         path = tmp_path / "mhla.sock"
-        first = server_cls(ExplorationService(), socket_path=path)
+        first = AsyncExplorationServer(ExplorationService(), socket_path=path)
         first.start()
         try:
             with pytest.raises(ServiceError, match="live server"):
-                server_cls(ExplorationService(), socket_path=path)
+                AsyncExplorationServer(ExplorationService(), socket_path=path)
         finally:
             first.drain(timeout=10.0)
 
@@ -359,7 +346,7 @@ class TestSocketPathLock:
     """The stale-socket reclaim race: probe/unlink/bind is serialized."""
 
     def test_simultaneous_reclaim_has_exactly_one_winner(
-        self, server_cls, tmp_path
+        self, tmp_path
     ):
         path = tmp_path / "mhla.sock"
         leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -373,7 +360,9 @@ class TestSocketPathLock:
             barrier.wait()
             try:
                 results.append(
-                    server_cls(ExplorationService(), socket_path=path)
+                    AsyncExplorationServer(
+                        ExplorationService(), socket_path=path
+                    )
                 )
             except ServiceError as error:
                 results.append(error)
@@ -397,17 +386,17 @@ class TestSocketPathLock:
             for server in servers:
                 server.drain(timeout=10.0)
 
-    def test_dead_claimers_lock_is_taken_over(self, server_cls, tmp_path):
+    def test_dead_claimers_lock_is_taken_over(self, tmp_path):
         path = tmp_path / "mhla.sock"
         lock = tmp_path / "mhla.sock.lock"
         lock.write_text("999999999")  # no such pid: a crashed claimer
-        server = server_cls(ExplorationService(), socket_path=path)
+        server = AsyncExplorationServer(ExplorationService(), socket_path=path)
         try:
             assert not lock.exists()  # reclaimed, then released
         finally:
             server.drain(timeout=10.0)
 
-    def test_live_claimers_lock_is_respected(self, server_cls, tmp_path):
+    def test_live_claimers_lock_is_respected(self, tmp_path):
         path = tmp_path / "mhla.sock"
         lock = tmp_path / "mhla.sock.lock"
         lock.write_text(str(os.getpid()))  # a live (this!) process
@@ -417,7 +406,7 @@ class TestSocketPathLock:
         server_mod._SOCKET_LOCK_TIMEOUT_S = 0.2
         try:
             with pytest.raises(ServiceError, match="being claimed"):
-                server_cls(ExplorationService(), socket_path=path)
+                AsyncExplorationServer(ExplorationService(), socket_path=path)
             assert lock.exists()  # never stolen from a live claimer
         finally:
             server_mod._SOCKET_LOCK_TIMEOUT_S = original
@@ -502,25 +491,6 @@ class TestMultiplexing:
             client.close()
             server.drain(timeout=10.0)
 
-    def test_threading_reference_serializes_the_same_pipeline(self):
-        """The contrast case: --transport threads answers in order."""
-        gate = GateRunner()
-        service = ExplorationService(runner=gate)
-        server = ExplorationServer(service, listen=("127.0.0.1", 0))
-        server.start()
-        client = ServiceClient(server.address, read_timeout=30.0)
-        try:
-            slow_id = client.send_request("batch", {"cells": [VOICE_CELL]})
-            assert gate.entered.wait(timeout=30.0)
-            client.send_request("stats")
-            gate.release.set()
-            # strict request order: the slow response lands first
-            assert client.read_response()["id"] == slow_id
-        finally:
-            gate.release.set()
-            client.close()
-            server.drain(timeout=10.0)
-
     def test_pipeline_helper_reorders_by_id(self, tmp_path):
         service = ExplorationService(store=ResultStore(tmp_path / "cache"))
         server = AsyncExplorationServer(service, listen=("127.0.0.1", 0))
@@ -570,8 +540,7 @@ class TestMultiplexing:
 
 
 class TestServeCli:
-    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-    def test_listen_call_and_sigterm_drain(self, transport):
+    def test_listen_call_and_sigterm_drain(self):
         src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.Popen(
@@ -582,8 +551,6 @@ class TestServeCli:
                 "serve",
                 "--listen",
                 "127.0.0.1:0",
-                "--transport",
-                transport,
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -598,7 +565,7 @@ class TestServeCli:
             with ServiceClient(address, timeout=30.0) as client:
                 stats = client.call("stats")
                 assert stats["submitted"] == 0
-                assert stats["server"]["transport"] == transport
+                assert stats["server"]["transport"] == "async"
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=30.0)
             stderr = proc.stderr.read()
@@ -608,3 +575,24 @@ class TestServeCli:
                 proc.wait()
         assert code == 0, stderr
         assert "Traceback" not in stderr
+
+    def test_threads_transport_is_gone(self):
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--transport",
+                "threads",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60.0,
+        )
+        assert proc.returncode == 2
+        assert "--transport" in proc.stderr

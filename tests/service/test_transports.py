@@ -1,30 +1,21 @@
-"""Transport equivalence battery: stdio vs threads vs async.
+"""Transport equivalence battery: stdio vs the async socket server.
 
-The multiplexed async transport is the default precisely because it
-claims to change *nothing* observable except head-of-line blocking.
-This battery holds it to that: the 9-cell sweep grid answered over
-``--transport threads`` and the async default, against **one shared
-cache directory**, must produce byte-identical response lines (and
-match the stdio reference); identical request sequences must leave
-identical service counters; and SIGTERM must drain both the same way.
+The multiplexed async socket transport claims to change *nothing*
+observable relative to the serialized stdio loop except head-of-line
+blocking.  This battery holds it to that: the 9-cell sweep grid
+answered over a socket, against **one shared cache directory**, must
+produce byte-identical response lines to the stdio reference;
+identical request sequences must leave identical service counters;
+and the socket-only ``-32001`` rejection has pinned wire bytes.
 """
 
 import io
 import json
-import os
-import pathlib
-import re
-import signal
-import subprocess
-import sys
 import threading
-
-import pytest
 
 from repro.analysis.sweep import ParallelSweepRunner
 from repro.service import (
     AsyncExplorationServer,
-    ExplorationServer,
     ExplorationService,
     ResultStore,
     ServiceClient,
@@ -32,10 +23,6 @@ from repro.service import (
 )
 from repro.service.keys import cell_key
 from repro.service.rpc import SERVER_BUSY, cell_from_params
-
-SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-
-TRANSPORTS = {"threads": ExplorationServer, "async": AsyncExplorationServer}
 
 GRID_CELLS = [
     {"app": app, "objective": objective}
@@ -75,9 +62,9 @@ def grid_request_lines():
     return lines
 
 
-def socket_lines(server_cls, cache_dir, request_lines):
+def socket_lines(cache_dir, request_lines):
     """Run *request_lines* through a socket server over *cache_dir*."""
-    server = server_cls(
+    server = AsyncExplorationServer(
         ExplorationService(store=ResultStore(cache_dir)),
         listen=("127.0.0.1", 0),
     )
@@ -90,9 +77,7 @@ def socket_lines(server_cls, cache_dir, request_lines):
 
 
 class TestGridByteIdentity:
-    def test_nine_cell_grid_identical_across_all_three_transports(
-        self, tmp_path
-    ):
+    def test_nine_cell_grid_identical_over_stdio_and_async(self, tmp_path):
         requests = grid_request_lines()
         cache = tmp_path / "cache"
         # stdio reference evaluates the grid cold into the shared cache
@@ -105,42 +90,74 @@ class TestGridByteIdentity:
         assert code == 0
         stdio = stdout.getvalue().splitlines()
         assert len(stdio) == len(requests)
-        # both socket transports answer over the SAME cache directory
-        threads = socket_lines(ExplorationServer, cache, requests)
-        asynced = socket_lines(AsyncExplorationServer, cache, requests)
-        assert threads == stdio
+        # the socket transport answers over the SAME cache directory
+        asynced = socket_lines(cache, requests)
         assert asynced == stdio
         # and the full-result payloads really round-tripped the state
-        for line in (stdio[-1], threads[-1], asynced[-1]):
+        for line in (stdio[-1], asynced[-1]):
             payload = json.loads(line)
             assert payload["result"]["status"] == "done"
             assert "state" in payload["result"]
 
 
-def run_sequence(server_cls, cache_dir):
-    """One fixed call sequence -> (service counters, server counters)."""
-    server = server_cls(
-        ExplorationService(store=ResultStore(cache_dir)),
-        listen=("127.0.0.1", 0),
-    )
-    server.start()
-    try:
-        with ServiceClient(server.address, timeout=300.0) as client:
-            submitted = client.call("submit", GRID_CELLS[0])
-            client.call("submit", GRID_CELLS[0])
-            client.call("poll", {"key": submitted["key"]})
-            client.call("batch", {"cells": GRID_CELLS[:3]})
-            stats = client.call("stats")
-        return stats
-    finally:
-        server.drain(timeout=30.0)
+def sequence_lines():
+    """One fixed call sequence, ending in ``stats``.
+
+    ``poll`` comes after the batch: polling a pending key kicks a
+    background flush, and whether that flush beats the batch would
+    depend on how fast each transport delivers the next line.
+    """
+    key = cell_key(cell_from_params(GRID_CELLS[0]))
+    calls = [
+        ("submit", GRID_CELLS[0]),
+        ("submit", GRID_CELLS[0]),
+        ("batch", {"cells": GRID_CELLS[:3]}),
+        ("poll", {"key": key}),
+        ("stats", {}),
+    ]
+    return [
+        json.dumps(
+            {
+                "jsonrpc": "2.0",
+                "id": index,
+                "method": method,
+                "params": params,
+            },
+            separators=(",", ":"),
+        )
+        for index, (method, params) in enumerate(calls, start=1)
+    ]
+
+
+SERVER_STATS_KEYS = {
+    "transport",
+    "connections_total",
+    "connections_active",
+    "requests_total",
+    "in_flight",
+    "rejected_busy",
+    "rejected_draining",
+    "max_pending",
+    "executor_workers",
+    "draining",
+}
 
 
 class TestCounterSemantics:
     def test_identical_sequences_leave_identical_counters(self, tmp_path):
+        requests = sequence_lines()
+        stdout = io.StringIO()
+        code = serve(
+            ExplorationService(store=ResultStore(tmp_path / "stdio")),
+            io.StringIO("\n".join(requests) + "\n"),
+            stdout,
+        )
+        assert code == 0
         stats = {
-            name: run_sequence(cls, tmp_path / name)
-            for name, cls in TRANSPORTS.items()
+            "stdio": json.loads(stdout.getvalue().splitlines()[-1])["result"],
+            "async": json.loads(
+                socket_lines(tmp_path / "async", requests)[-1]
+            )["result"],
         }
         # service-level counters: byte-for-byte the same bookkeeping
         service_keys = [
@@ -158,31 +175,19 @@ class TestCounterSemantics:
                 name: stats[name].get(key, "<absent>") for name in stats
             }
             assert len(set(values.values())) == 1, (key, values)
-        # server-section counters: same admission accounting (the keys
-        # that describe the transport itself are allowed to differ)
-        server_keys = [
-            "connections_total",
-            "requests_total",
-            "rejected_busy",
-            "rejected_draining",
-            "max_pending",
-            "draining",
-        ]
-        for key in server_keys:
-            values = {name: stats[name]["server"][key] for name in stats}
-            assert len(set(values.values())) == 1, (key, values)
-        # both transports expose the SAME stats shape: a dashboard
-        # written against one must not KeyError on the other.  The
-        # threads transport has no executor, so its executor_workers
-        # is present but null; async reports the real worker count.
-        shapes = {name: set(stats[name]["server"]) for name in stats}
-        assert shapes["threads"] == shapes["async"]
-        assert "executor_workers" in shapes["threads"]
-        assert stats["threads"]["server"]["executor_workers"] is None
-        assert isinstance(stats["async"]["server"]["executor_workers"], int)
+        # the socket's own section: one connection, every request
+        # admitted, and the exact key set dashboards are written against
+        server = stats["async"]["server"]
+        assert set(server) == SERVER_STATS_KEYS
+        assert server["transport"] == "async"
+        assert server["connections_total"] == 1
+        assert server["requests_total"] == len(requests)
+        assert server["rejected_busy"] == server["rejected_draining"] == 0
+        assert server["draining"] is False
+        assert isinstance(server["executor_workers"], int)
 
-    def test_rejection_lines_byte_identical(self, tmp_path):
-        """-32001 over either transport is the same bytes on the wire."""
+    def test_rejection_line_bytes_are_pinned(self, tmp_path):
+        """-32001 is the same bytes on the wire as it always was."""
 
         class GateRunner(ParallelSweepRunner):
             def __init__(self):
@@ -208,69 +213,30 @@ class TestCounterSemantics:
             {"jsonrpc": "2.0", "id": 8, "method": "stats"},
             separators=(",", ":"),
         )
-        rejections = {}
-        for name, cls in TRANSPORTS.items():
-            gate = GateRunner()
-            server = cls(
-                ExplorationService(runner=gate),
-                listen=("127.0.0.1", 0),
-                max_pending=1,
-            )
-            server.start()
-            slow = ServiceClient(server.address, read_timeout=60.0)
-            fast = ServiceClient(server.address, read_timeout=60.0)
-            try:
-                slow.connect()
-                slow._send_raw(slow_line)
-                assert gate.entered.wait(timeout=30.0)
-                rejections[name] = fast.send_line(probe_line)
-                gate.release.set()
-                slow._read_raw()  # let the batch finish cleanly
-            finally:
-                gate.release.set()
-                slow.close()
-                fast.close()
-                server.drain(timeout=30.0)
-        assert rejections["threads"] == rejections["async"]
-        payload = json.loads(rejections["async"])
-        assert payload["error"]["code"] == SERVER_BUSY
-
-
-class TestSigtermParity:
-    def test_both_transports_drain_identically_on_sigterm(self):
-        outcomes = {}
-        for transport in sorted(TRANSPORTS):
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "serve",
-                    "--listen",
-                    "127.0.0.1:0",
-                    "--transport",
-                    transport,
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONPATH": SRC},
-            )
-            try:
-                banner = proc.stdout.readline()
-                match = re.match(r"listening on (.+):(\d+)", banner)
-                assert match, f"unexpected banner: {banner!r}"
-                address = (match.group(1), int(match.group(2)))
-                with ServiceClient(address, timeout=30.0) as client:
-                    assert client.call("stats")["submitted"] == 0
-                proc.send_signal(signal.SIGTERM)
-                code = proc.wait(timeout=30.0)
-                stderr = proc.stderr.read()
-            finally:
-                if proc.poll() is None:  # pragma: no cover - cleanup
-                    proc.kill()
-                    proc.wait()
-                proc.stdout.close()
-                proc.stderr.close()
-            outcomes[transport] = (code, "Traceback" in stderr)
-        assert outcomes["threads"] == outcomes["async"] == (0, False)
+        gate = GateRunner()
+        server = AsyncExplorationServer(
+            ExplorationService(runner=gate),
+            listen=("127.0.0.1", 0),
+            max_pending=1,
+        )
+        server.start()
+        slow = ServiceClient(server.address, read_timeout=60.0)
+        fast = ServiceClient(server.address, read_timeout=60.0)
+        try:
+            slow.connect()
+            slow._send_raw(slow_line)
+            assert gate.entered.wait(timeout=30.0)
+            rejection = fast.send_line(probe_line)
+            gate.release.set()
+            slow._read_raw()  # let the batch finish cleanly
+        finally:
+            gate.release.set()
+            slow.close()
+            fast.close()
+            server.drain(timeout=30.0)
+        assert rejection == (
+            '{"jsonrpc":"2.0","id":8,"error":{"code":-32001,'
+            '"message":"server busy: 1 request(s) already in flight; '
+            'back off and retry"}}'
+        )
+        assert json.loads(rejection)["error"]["code"] == SERVER_BUSY

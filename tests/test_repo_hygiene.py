@@ -52,3 +52,22 @@ def test_gitignore_covers_interpreter_droppings():
     rules = gitignore.read_text().splitlines()
     for required in ("__pycache__/", "*.pyc", ".pytest_cache/", "*.egg-info/"):
         assert required in rules, f".gitignore lacks {required!r}"
+
+
+def test_source_docs_cite_only_files_and_sections_that_exist():
+    # docstrings once pointed at a design document that was never
+    # committed; the README sections they cite instead must exist
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for folder in ("src", "examples", "benchmarks")
+        for path in sorted((REPO_ROOT / folder).rglob("*.py"))
+        if "DESIGN" + ".md" in path.read_text()
+    ]
+    assert not offenders, f"references to a missing design doc: {offenders}"
+    headings = {
+        line.lstrip("#").strip()
+        for line in (REPO_ROOT / "README.md").read_text().splitlines()
+        if line.startswith("#")
+    }
+    for cited in ("Layout", "Fuzzing & differential verification"):
+        assert cited in headings, f"README.md has no {cited!r} section"
