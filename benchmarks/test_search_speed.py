@@ -78,7 +78,7 @@ def _large_frontier_state():
     generators deliberately emit small programs), deterministic by
     construction.
     """
-    from repro.search.state import SearchState
+    from repro.core.state import SearchState
     from repro.synth.spec import (
         AccessSpec,
         ArraySpec,
@@ -165,7 +165,6 @@ def _frontier_scoring_record() -> dict:
         "per_move_moves_per_s": len(moves) / per_move_s,
         "batched_moves_per_s": len(moves) / batched_s,
         "speedup": speedup,
-        "uses_numpy": state.frontier().uses_numpy,
     }
 
 

@@ -6,6 +6,8 @@ assignment step and a time extension step" (paper, section 2):
 * **Step 1** (:mod:`repro.core.assignment`) selects copy candidates and
   assigns arrays + copies to memory layers, minimising a cost objective
   under per-layer capacity constraints with lifetime-aware sharing.
+  Its moves and their O(delta) scoring live in :mod:`repro.core.state`,
+  which the metaheuristics in :mod:`repro.search` walk too.
   :mod:`repro.core.exhaustive` provides a brute-force reference engine
   for validating the greedy search on small programs, and
   :mod:`repro.core.tradeoff` sweeps layer sizes to produce the paper's

@@ -18,32 +18,44 @@ applied.  The search stops when no move improves the objective, then
 runs one cleanup pass dropping copies whose removal does not hurt (they
 only waste space the TE step could use for double buffering).
 
-By default moves are scored with the **incremental evaluation engine**
-(:mod:`repro.core.incremental`): a trial move looks up cached per-group
-cost contributions, substitutes the touched group's new contribution
-and folds the totals, probing capacity against a mutable occupancy
-ledger — no chains are rebuilt, no occupancy map materialised, and the
-trial :class:`Assignment` itself is only constructed when a move is
-accepted.  Scores and feasibility answers are bit-identical to the
-monolithic path (``use_incremental=False``), which re-runs
-:func:`repro.core.costs.estimate_cost` and rebuilds the occupancy map
-for every trial and is kept as the reference implementation.
+Moves are the :class:`~repro.core.state.AddCopy`,
+:class:`~repro.core.state.Rehome` and :class:`~repro.core.state.DropCopy`
+primitives every metaheuristic walks, and by default they are scored
+and applied through the same :class:`~repro.core.state.SearchState`:
+one batched :meth:`~repro.core.state.SearchState.score_frontier` pass
+per round over cached per-group contributions, with capacity probed
+against a live occupancy ledger.  Scores and feasibility answers are
+bit-identical to the monolithic path (``use_incremental=False``), which
+checks chain legality, rebuilds the occupancy map and re-runs
+:func:`repro.core.costs.estimate_cost` for every trial and is kept as
+the reference implementation.
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import CostReport, estimate_cost
-from repro.core.incremental import IncrementalEvaluator, OccupancyLedger
+from repro.core.incremental import IncrementalEvaluator
+from repro.core.state import (
+    AddCopy,
+    DropCopy,
+    Move,
+    Objective,
+    Rehome,
+    SearchState,
+    add_sites_of,
+    drop_sites_of,
+    objective_from_totals,
+)
 from repro.errors import AssignmentError, ValidationError
 
 __all__ = [
     "Assignment",
     "GreedyAssigner",
+    "MAX_STEPS",
     "Objective",
     "SearchStats",
     "SearchTrace",
@@ -51,66 +63,14 @@ __all__ = [
     "objective_value",
 ]
 
-
-class Objective(enum.Enum):
-    """What the assignment search minimises."""
-
-    CYCLES = "cycles"
-    ENERGY = "energy"
-    EDP = "edp"
+MAX_STEPS = 200
+"""Safety bound on accepted greedy moves; a search that needs more
+raises :class:`~repro.errors.AssignmentError`."""
 
 
 def objective_value(report: CostReport, objective: Objective) -> float:
     """Scalar value of *objective* for a cost report (lower is better)."""
-    if objective is Objective.CYCLES:
-        return report.cycles
-    if objective is Objective.ENERGY:
-        return report.energy_nj
-    return report.cycles * report.energy_nj
-
-
-def objective_from_totals(
-    cycles: float, energy: float, objective: Objective
-) -> float:
-    """Objective scalar from pre-folded totals (same math as above).
-
-    Shared by every search engine (greedy, exhaustive, the
-    metaheuristics in :mod:`repro.search`) so their objective values
-    are bit-comparable: all of them fold the same canonical-order
-    totals through this one function.
-    """
-    if objective is Objective.CYCLES:
-        return cycles
-    if objective is Objective.ENERGY:
-        return energy
-    return cycles * energy
-
-
-@dataclass(frozen=True)
-class _Move:
-    """One candidate search step (internal).
-
-    The trial :class:`Assignment` is built lazily (:meth:`apply`) on
-    the incremental path; the monolithic path carries it in *result*.
-    """
-
-    kind: str  # "copy" | "home"
-    description: str
-    value: float
-    result: Assignment | None = None
-    group_key: str | None = None
-    uid: str | None = None
-    layer_name: str | None = None
-    array_name: str | None = None
-    old_layer: str | None = None
-
-    def apply(self, assignment: Assignment) -> Assignment:
-        """The assignment this move produces."""
-        if self.result is not None:
-            return self.result
-        if self.kind == "copy":
-            return assignment.with_copy(self.group_key, self.uid, self.layer_name)
-        return assignment.with_home(self.array_name, self.layer_name)
+    return objective_from_totals(report.cycles, report.energy_nj, objective)
 
 
 @dataclass(frozen=True)
@@ -167,13 +127,11 @@ class GreedyAssigner:
     allow_home_moves:
         Permit whole-array re-homing moves (disable to compare against
         the exhaustive engine, which explores copies only by default).
-    max_steps:
-        Safety bound on accepted moves.
     use_incremental:
-        Score moves with the incremental evaluation engine (default).
-        The monolithic path re-estimates every trial from scratch and
-        exists as the bit-identical reference for equivalence tests and
-        speedup benchmarks.
+        Score moves through :class:`~repro.core.state.SearchState`
+        (default).  The monolithic path re-estimates every trial from
+        scratch and exists as the bit-identical reference for
+        equivalence tests and speedup benchmarks.
     evaluator:
         Optionally share a pre-warmed :class:`IncrementalEvaluator`
         (e.g. across the scenario runner) instead of building a fresh
@@ -186,76 +144,80 @@ class GreedyAssigner:
         ctx: AnalysisContext,
         objective: Objective = Objective.EDP,
         allow_home_moves: bool = True,
-        max_steps: int = 200,
         use_incremental: bool = True,
         evaluator: IncrementalEvaluator | None = None,
     ):
         self.ctx = ctx
         self.objective = objective
         self.allow_home_moves = allow_home_moves
-        self.max_steps = max_steps
         self.use_incremental = use_incremental
         if not use_incremental:
             self.evaluator = None  # the monolithic reference path
         else:
             self.evaluator = evaluator or IncrementalEvaluator(ctx)
-        self._ledger: OccupancyLedger | None = None
         self._moves_evaluated = 0
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
 
     def run(self) -> tuple[Assignment, SearchTrace]:
         """Run the search; returns the assignment and its move trace."""
         started = time.perf_counter()
-        self._moves_evaluated = 0
         assignment = self.ctx.out_of_box_assignment()
         if not self.ctx.fits(assignment):
             raise AssignmentError(
                 "even the out-of-the-box placement violates capacity; "
                 "the off-chip layer must be unbounded"
             )
-        hits_before = misses_before = 0
-        if self.evaluator is not None:
-            self._ledger = self.evaluator.ledger_for(assignment)
-            hits_before = self.evaluator.stats.hits
-            misses_before = self.evaluator.stats.misses
-        value = self._value(assignment)
-        initial_value = value
+        evaluator = self.evaluator
+        hits_before = evaluator.stats.hits if evaluator else 0
+        misses_before = evaluator.stats.misses if evaluator else 0
+        if evaluator is None:
+            walk = _ReferenceState(self.ctx, self.objective, assignment)
+        else:
+            walk = SearchState(self.ctx, self.objective, evaluator, assignment)
+        self._moves_evaluated = 1  # the starting point
+        value = initial_value = walk.value
         steps: list[str] = []
 
-        rounds = 0
-        for _round in range(self.max_steps):
-            rounds += 1
-            move = self._best_move(assignment, value)
-            if move is None:
+        for rounds in range(1, MAX_STEPS + 1):
+            best, best_value = None, value
+            for move, trial_value in self._scored(walk, self._candidates(walk)):
+                if trial_value < best_value:
+                    best, best_value = move, trial_value
+            if best is None:
                 break
-            result = move.apply(assignment)
-            self._apply_to_ledger(move)
-            assignment = result
-            value = move.value
-            steps.append(move.description)
+            walk.apply(best)
+            value = best_value
+            steps.append(self._describe(best))
         else:
             raise AssignmentError(
-                f"assignment search did not converge in {self.max_steps} steps"
+                f"assignment search did not converge in {MAX_STEPS} steps"
             )
-
         applied = len(steps)
-        assignment, value, dropped = self._cleanup(assignment, value)
-        steps.extend(dropped)
+
+        # Cleanup: drop copies whose removal does not worsen the
+        # objective (first such copy each pass, in selection order).
+        while True:
+            drop = next(
+                (
+                    (move, trial_value)
+                    for move, trial_value in self._scored(walk, walk.drop_sites())
+                    if trial_value <= value
+                ),
+                None,
+            )
+            if drop is None:
+                break
+            move, value = drop
+            walk.apply(move)
+            steps.append(f"drop {move.uid} (no loss)")
+
         stats = SearchStats(
             rounds=rounds,
             moves_evaluated=self._moves_evaluated,
             moves_applied=applied,
-            cleanup_drops=len(dropped),
-            cache_hits=(
-                self.evaluator.stats.hits - hits_before if self.evaluator else 0
-            ),
+            cleanup_drops=len(steps) - applied,
+            cache_hits=evaluator.stats.hits - hits_before if evaluator else 0,
             cache_misses=(
-                self.evaluator.stats.misses - misses_before
-                if self.evaluator
-                else 0
+                evaluator.stats.misses - misses_before if evaluator else 0
             ),
             wall_time_s=time.perf_counter() - started,
         )
@@ -266,283 +228,113 @@ class GreedyAssigner:
             stats=stats,
             strategy="greedy",
         )
-        return assignment, trace
+        return walk.assignment, trace
 
-    # ------------------------------------------------------------------
-    # scoring
-    # ------------------------------------------------------------------
+    def _candidates(self, walk) -> list[Move]:
+        """This round's copy and home moves, in a fixed order.
+
+        Copy moves come first (``ctx.specs`` x candidates x on-chip
+        layers), then home moves (arrays x on-chip layers the array
+        fits), so ties and evaluator lookups replay identically.
+        """
+        assignment = walk.assignment
+        selected = {
+            group_key: {uid for uid, _layer in selections}
+            for group_key, selections in assignment.copies.items()
+        }
+        moves: list[Move] = [
+            site
+            for site in walk.add_sites
+            if site.uid not in selected.get(site.group_key, ())
+        ]
+        if self.allow_home_moves:
+            onchip = self.ctx.platform.hierarchy.onchip_layers
+            for array_name, home in assignment.array_home.items():
+                size = self.ctx.program.array(array_name).bytes
+                moves.extend(
+                    Rehome(array_name, home, layer.name)
+                    for layer in onchip
+                    if layer.name != home and layer.fits(size)
+                )
+        return moves
+
+    def _scored(self, walk, moves):
+        """Yield ``(move, value)`` for each legal, feasible move.
+
+        A move counts as evaluated when it is consumed, so a caller
+        that stops early (the cleanup pass) counts only what it looked at.
+        """
+        for move, value in zip(moves, walk.score_frontier(moves)):
+            if value is not None:
+                self._moves_evaluated += 1
+                yield move, value
+
+    def _describe(self, move: Move) -> str:
+        if isinstance(move, AddCopy):
+            size = self.ctx.candidate(move.uid).size_bytes
+            return f"copy {move.uid} -> {move.layer_name} ({size} B)"
+        return move.describe()
+
+
+class _ReferenceState:
+    """The monolithic stand-in for :class:`SearchState` (reference path).
+
+    Offers the slice of the :class:`SearchState` interface greedy uses,
+    but scores each trial by building the trial :class:`Assignment`,
+    materialising the touched chains, rebuilding the occupancy map and
+    running :func:`estimate_cost` from scratch.  Scores are produced
+    lazily, one per consumed move.
+    """
+
+    def __init__(
+        self, ctx: AnalysisContext, objective: Objective, assignment: Assignment
+    ):
+        self.ctx = ctx
+        self.objective = objective
+        self.assignment = assignment
+        self.add_sites = add_sites_of(ctx)
+        self.value = self._value(assignment)
 
     def _value(self, assignment: Assignment) -> float:
-        self._moves_evaluated += 1
-        if self.evaluator is not None:
-            cycles, energy = self.evaluator.cycles_energy(assignment)
-            return objective_from_totals(cycles, energy, self.objective)
         return objective_value(estimate_cost(self.ctx, assignment), self.objective)
 
-    def _apply_to_ledger(self, move: _Move) -> None:
-        if self._ledger is None:
-            return
-        if move.kind == "copy":
-            self.evaluator.apply_copy(
-                self._ledger, move.group_key, move.uid, move.layer_name
+    def _trial(self, move: Move) -> Assignment:
+        if isinstance(move, AddCopy):
+            return self.assignment.with_copy(
+                move.group_key, move.uid, move.layer_name
             )
-        else:
-            self.evaluator.apply_home(
-                self._ledger, move.array_name, move.old_layer, move.layer_name
+        if isinstance(move, DropCopy):
+            return self.assignment.without_copy(move.group_key, move.uid)
+        return self.assignment.with_home(move.array_name, move.new_layer)
+
+    def _touched_groups(self, move: Move) -> tuple[str, ...]:
+        """Groups whose chains *move* can change (the rest stay legal)."""
+        if isinstance(move, Rehome):
+            return tuple(
+                group_key
+                for group_key, spec in self.ctx.specs.items()
+                if spec.group.array_name == move.array_name
             )
+        return (move.group_key,)
 
-    # ------------------------------------------------------------------
-    # move generation
-    # ------------------------------------------------------------------
-
-    def _best_move(
-        self, assignment: Assignment, current_value: float
-    ) -> _Move | None:
-        best: _Move | None = None
-        for move in self._legal_moves(assignment):
-            if move.value >= current_value:
-                continue
-            if best is None or move.value < best.value:
-                best = move
-        return best
-
-    def _legal_moves(self, assignment: Assignment):
-        if self.evaluator is not None:
-            base = self.evaluator.contributions(assignment)
-            yield from self._copy_moves_incremental(assignment, base)
-            if self.allow_home_moves:
-                yield from self._home_moves_incremental(assignment, base)
-        else:
-            yield from self._copy_moves(assignment)
-            if self.allow_home_moves:
-                yield from self._home_moves(assignment)
-
-    # -- incremental path ----------------------------------------------
-
-    def _score_substituted(self, base, substitutions) -> float:
-        """Objective of *base* with some contributions replaced.
-
-        The fold runs over the full canonical-order list, so the result
-        is bit-identical to scoring the trial assignment from scratch.
-        """
-        contribs = list(base)
-        for index, contribution in substitutions:
-            contribs[index] = contribution
-        cycles, energy = self.evaluator.totals_of(contribs)
-        self._moves_evaluated += 1
-        return objective_from_totals(cycles, energy, self.objective)
-
-    def _copy_moves_incremental(self, assignment: Assignment, base):
-        evaluator = self.evaluator
-        hierarchy = self.ctx.platform.hierarchy
-        for group_key, spec in self.ctx.specs.items():
-            existing = assignment.copies.get(group_key, ())
-            selected = {uid for uid, _layer in existing}
-            home = assignment.array_home[spec.group.array_name]
-            index = evaluator.group_index(group_key)
-            for candidate in spec.candidates:
-                if candidate.uid in selected:
-                    continue
-                for layer in hierarchy.onchip_layers:
-                    trial_selections = existing + ((candidate.uid, layer.name),)
-                    contribution = evaluator.contribution_or_none(
-                        group_key, home, trial_selections
-                    )
-                    if contribution is None:
-                        continue
-                    if not evaluator.fits_with_copy(
-                        self._ledger, group_key, candidate.uid, layer.name
-                    ):
-                        continue
-                    value = self._score_substituted(
-                        base, ((index, contribution),)
-                    )
-                    yield _Move(
-                        kind="copy",
-                        description=(
-                            f"copy {candidate.uid} -> {layer.name} "
-                            f"({candidate.size_bytes} B)"
-                        ),
-                        value=value,
-                        group_key=group_key,
-                        uid=candidate.uid,
-                        layer_name=layer.name,
-                    )
-
-    def _home_moves_incremental(self, assignment: Assignment, base):
-        evaluator = self.evaluator
-        hierarchy = self.ctx.platform.hierarchy
-        for array_name, home in assignment.array_home.items():
-            array = self.ctx.program.array(array_name)
-            affected = evaluator.groups_of_array(array_name)
-            for layer in hierarchy.onchip_layers:
-                if layer.name == home:
-                    continue
-                if not layer.fits(array.bytes):
-                    continue
-                substitutions = []
-                legal = True
-                for group_key in affected:
-                    contribution = evaluator.contribution_or_none(
-                        group_key,
-                        layer.name,
-                        assignment.copies.get(group_key, ()),
-                    )
-                    if contribution is None:
-                        legal = False
-                        break
-                    substitutions.append(
-                        (evaluator.group_index(group_key), contribution)
-                    )
-                if not legal:
-                    continue
-                if not evaluator.fits_with_home(
-                    self._ledger, array_name, home, layer.name
-                ):
-                    continue
-                value = self._score_substituted(base, substitutions)
-                yield _Move(
-                    kind="home",
-                    description=f"home {array_name} -> {layer.name}",
-                    value=value,
-                    array_name=array_name,
-                    old_layer=home,
-                    layer_name=layer.name,
-                )
-
-    # -- monolithic reference path -------------------------------------
-
-    def _copy_moves(self, assignment: Assignment):
-        hierarchy = self.ctx.platform.hierarchy
-        for group_key, spec in self.ctx.specs.items():
-            selected = dict(assignment.copies.get(group_key, ()))
-            for candidate in spec.candidates:
-                if candidate.uid in selected:
-                    continue
-                for layer in hierarchy.onchip_layers:
-                    trial = assignment.with_copy(
-                        group_key, candidate.uid, layer.name
-                    )
-                    if not self._chain_is_legal(trial, group_key):
-                        continue
-                    if not self.ctx.fits(trial):
-                        continue
-                    value = self._value(trial)
-                    yield _Move(
-                        kind="copy",
-                        description=(
-                            f"copy {candidate.uid} -> {layer.name} "
-                            f"({candidate.size_bytes} B)"
-                        ),
-                        value=value,
-                        result=trial,
-                        group_key=group_key,
-                        uid=candidate.uid,
-                        layer_name=layer.name,
-                    )
-
-    def _home_moves(self, assignment: Assignment):
-        hierarchy = self.ctx.platform.hierarchy
-        for array_name, home in assignment.array_home.items():
-            array = self.ctx.program.array(array_name)
-            for layer in hierarchy.onchip_layers:
-                if layer.name == home:
-                    continue
-                if not layer.fits(array.bytes):
-                    continue
-                trial = assignment.with_home(array_name, layer.name)
-                if not self._array_chains_legal(trial, array_name):
-                    continue
-                if not self.ctx.fits(trial):
-                    continue
-                value = self._value(trial)
-                yield _Move(
-                    kind="home",
-                    description=f"home {array_name} -> {layer.name}",
-                    value=value,
-                    result=trial,
-                    array_name=array_name,
-                    old_layer=home,
-                    layer_name=layer.name,
-                )
-
-    def _chain_is_legal(self, assignment: Assignment, group_key: str) -> bool:
-        """Chain-validity probe; only chain validation counts as illegal."""
-        try:
-            self.ctx.chain_for(assignment, group_key)
-        except ValidationError:
-            return False
-        return True
-
-    def _array_chains_legal(
-        self, assignment: Assignment, array_name: str
-    ) -> bool:
-        """Chain legality of the groups a home move can affect.
-
-        A home move only changes the chains of *array_name*'s groups;
-        all other groups keep their (already legal) chains, so checking
-        the affected groups is equivalent to checking all of them.
-        """
-        return all(
-            self._chain_is_legal(assignment, group_key)
-            for group_key, spec in self.ctx.specs.items()
-            if spec.group.array_name == array_name
-        )
-
-    # ------------------------------------------------------------------
-    # cleanup pass
-    # ------------------------------------------------------------------
-
-    def _cleanup(
-        self, assignment: Assignment, value: float
-    ) -> tuple[Assignment, float, list[str]]:
-        """Drop copies whose removal does not worsen the objective."""
-        dropped: list[str] = []
-        improved = True
-        while improved:
-            improved = False
-            base = (
-                self.evaluator.contributions(assignment)
-                if self.evaluator is not None
-                else None
-            )
-            for group_key, selections in list(assignment.copies.items()):
-                for uid, layer_name in selections:
-                    trial_value = self._cleanup_trial_value(
-                        assignment, base, group_key, uid
-                    )
-                    if trial_value is None:
-                        continue
-                    if trial_value <= value:
-                        if self._ledger is not None:
-                            self.evaluator.remove_copy(
-                                self._ledger, group_key, uid, layer_name
-                            )
-                        assignment = assignment.without_copy(group_key, uid)
-                        value = trial_value
-                        dropped.append(f"drop {uid} (no loss)")
-                        improved = True
-                        break
-                if improved:
-                    break
-        return assignment, value, dropped
-
-    def _cleanup_trial_value(
-        self, assignment: Assignment, base, group_key: str, uid: str
-    ) -> float | None:
-        """Objective after dropping one copy, or None if illegal."""
-        if self.evaluator is not None:
-            home, selections = self.evaluator.group_state(assignment, group_key)
-            remaining = tuple(pair for pair in selections if pair[0] != uid)
-            contribution = self.evaluator.contribution_or_none(
-                group_key, home, remaining
-            )
-            if contribution is None:
+    def score(self, move: Move) -> float | None:
+        """Objective after *move*, or None when illegal/infeasible."""
+        trial = self._trial(move)
+        for group_key in self._touched_groups(move):
+            try:
+                self.ctx.chain_for(trial, group_key)
+            except ValidationError:
                 return None
-            return self._score_substituted(
-                base, ((self.evaluator.group_index(group_key), contribution),)
-            )
-        trial = assignment.without_copy(group_key, uid)
-        if not self._chain_is_legal(trial, group_key):
+        # Dropping a copy only frees space.
+        if not isinstance(move, DropCopy) and not self.ctx.fits(trial):
             return None
         return self._value(trial)
+
+    def score_frontier(self, moves):
+        return map(self.score, moves)
+
+    def apply(self, move: Move) -> None:
+        self.assignment = self._trial(move)
+
+    def drop_sites(self) -> tuple[DropCopy, ...]:
+        return drop_sites_of(self.assignment)

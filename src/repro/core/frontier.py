@@ -1,8 +1,9 @@
 """Struct-of-arrays frontier scoring over cached group contributions.
 
-Every metaheuristic scores a *frontier* — a tabu neighborhood, a beam
-expansion, a descent sample — of moves against one base assignment.
-The per-move path (:meth:`~repro.search.state.SearchState.score`)
+Greedy and every metaheuristic score a *frontier* — a greedy round, a
+tabu neighborhood, a beam expansion, a descent sample — of moves
+against one base assignment.
+The per-move path (:meth:`~repro.core.state.SearchState.score`)
 copies the whole contribution list and folds every term of every group
 for each candidate, so scoring ``m`` moves over ``n`` groups costs
 ``O(m * n)`` Python-level list copies plus a full term fold each.
@@ -27,23 +28,11 @@ fold performs, hence bit-identical to it.  The inner folds run through
 ``sum(iterable, start)`` — CPython's float fast path accumulates a C
 double strictly left to right, the same operation chain as an explicit
 Python loop at a fraction of the interpreter cost.
-
-An optional numpy fast path (gated: the package must import, and the
-flattened arrays must be large enough to amortise buffer setup)
-replays suffixes with ``numpy.add.accumulate``, which is defined
-sequentially (``out[i] = out[i-1] + in[i]``) and therefore also
-bit-identical — unlike ``numpy.sum``/``add.reduce``, whose pairwise
-summation must never be used here.
 """
 
 from __future__ import annotations
 
-try:  # gated dependency: the pure-stdlib path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
-__all__ = ["ACCUMULATOR_FIELDS", "FrontierScorer", "NUMPY_MIN_TERMS"]
+__all__ = ["ACCUMULATOR_FIELDS", "FrontierScorer"]
 
 ACCUMULATOR_FIELDS = (
     "cpu_access_cycles_terms",
@@ -54,20 +43,6 @@ ACCUMULATOR_FIELDS = (
 )
 """The five float accumulators of the cost model, in
 :func:`~repro.core.costs.fold_objective_totals` order."""
-
-NUMPY_MIN_TERMS = 1024
-"""Total flattened terms below which buffer setup outweighs the numpy
-accumulate — small cases stay on the ``sum()`` path."""
-
-
-def _replay(accumulator: float, terms) -> float:
-    """Left-to-right fold of *terms* onto *accumulator* (C-speed).
-
-    ``sum(iterable, start)`` adds strictly sequentially in CPython's
-    float fast path — the identical IEEE-754 operation chain as
-    ``for t in terms: accumulator += t``.
-    """
-    return sum(terms, accumulator)
 
 
 class FrontierScorer:
@@ -88,22 +63,11 @@ class FrontierScorer:
     compute_cycles:
         The assignment-independent compute-cycle total folded into the
         cycles result (``IncrementalEvaluator.compute_cycles``).
-    use_numpy:
-        Force the numpy suffix replay on/off; ``None`` auto-selects
-        (numpy importable and >= :data:`NUMPY_MIN_TERMS` flat terms).
     """
 
-    __slots__ = (
-        "compute_cycles",
-        "groups",
-        "uses_numpy",
-        "_terms",
-        "_offsets",
-        "_prefix",
-        "_np_terms",
-    )
+    __slots__ = ("compute_cycles", "groups", "_terms", "_offsets", "_prefix")
 
-    def __init__(self, contribs, compute_cycles: float, use_numpy=None):
+    def __init__(self, contribs, compute_cycles: float):
         self.compute_cycles = compute_cycles
         self.groups = len(contribs)
         terms: list[list[float]] = []
@@ -119,7 +83,7 @@ class FrontierScorer:
                 group_terms = getattr(contribution, field)
                 flat.extend(group_terms)
                 bounds[index + 1] = len(flat)
-                accumulator = _replay(accumulator, group_terms)
+                accumulator = sum(group_terms, accumulator)
             running[self.groups] = accumulator
             terms.append(flat)
             offsets.append(bounds)
@@ -127,17 +91,6 @@ class FrontierScorer:
         self._terms = terms
         self._offsets = offsets
         self._prefix = prefix
-        if use_numpy is None:
-            total = sum(len(flat) for flat in terms)
-            use_numpy = _np is not None and total >= NUMPY_MIN_TERMS
-        if use_numpy and _np is None:
-            raise RuntimeError("numpy fast path requested but numpy is absent")
-        self.uses_numpy = bool(use_numpy)
-        self._np_terms = (
-            [_np.asarray(flat, dtype=_np.float64) for flat in terms]
-            if self.uses_numpy
-            else None
-        )
 
     # ------------------------------------------------------------------
 
@@ -147,14 +100,6 @@ class FrontierScorer:
         cycles = self.compute_cycles + full[0] + full[1] + full[2]
         energy = full[3] + full[4]
         return cycles, energy
-
-    def _fold_suffix_numpy(self, accumulator: float, tail) -> float:
-        """Sequential numpy replay (``add.accumulate``, never ``sum``)."""
-        buffer = _np.empty(tail.size + 1, dtype=_np.float64)
-        buffer[0] = accumulator
-        buffer[1:] = tail
-        _np.add.accumulate(buffer, out=buffer)
-        return float(buffer[-1])
 
     def _substituted_accumulator(self, which: int, substitutions) -> float:
         """One accumulator's fold with *substitutions* swapped in.
@@ -168,32 +113,15 @@ class FrontierScorer:
         first = substitutions[0][0]
         accumulator = self._prefix[which][first]
         cursor = first
-        if self.uses_numpy:
-            flat = self._np_terms[which]
-            for index, contribution in substitutions:
-                if index > cursor:
-                    gap = flat[offsets[cursor]:offsets[index]]
-                    if gap.size:
-                        accumulator = self._fold_suffix_numpy(accumulator, gap)
-                accumulator = _replay(
-                    accumulator, getattr(contribution, ACCUMULATOR_FIELDS[which])
-                )
-                cursor = index + 1
-            tail = flat[offsets[cursor]:]
-            if tail.size:
-                accumulator = self._fold_suffix_numpy(accumulator, tail)
-            return accumulator
         flat = self._terms[which]
+        field = ACCUMULATOR_FIELDS[which]
         for index, contribution in substitutions:
             if index > cursor:
-                accumulator = _replay(
-                    accumulator, flat[offsets[cursor]:offsets[index]]
-                )
-            accumulator = _replay(
-                accumulator, getattr(contribution, ACCUMULATOR_FIELDS[which])
-            )
+                gap = flat[offsets[cursor]:offsets[index]]
+                accumulator = sum(gap, accumulator)
+            accumulator = sum(getattr(contribution, field), accumulator)
             cursor = index + 1
-        return _replay(accumulator, flat[offsets[cursor]:])
+        return sum(flat[offsets[cursor]:], accumulator)
 
     def substituted_totals(self, substitutions) -> tuple[float, float]:
         """(cycles, energy) with *substitutions* applied to the base.

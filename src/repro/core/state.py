@@ -1,10 +1,9 @@
-"""Mutable search state shared by all metaheuristic engines.
+"""Mutable search state shared by greedy and every metaheuristic engine.
 
-The greedy engine rebuilds its view of the assignment every round; a
-metaheuristic walks a long random trajectory and needs O(delta)
-*apply* and *undo* on top of the O(delta) scoring PR 1's
-:class:`~repro.core.incremental.IncrementalEvaluator` already gives.
-:class:`SearchState` packages exactly that:
+A search walks a long trajectory of small moves and needs O(delta)
+*score*, *apply* and *undo* on top of the O(delta) contribution
+lookups the :class:`~repro.core.incremental.IncrementalEvaluator`
+gives.  :class:`SearchState` packages exactly that:
 
 * the current :class:`~repro.core.context.Assignment` (replaced, never
   mutated, so snapshots are free — an incumbent is just a reference);
@@ -22,20 +21,54 @@ state from scratch.  Occupancy arithmetic is integer and contributions
 are cached by value, so apply followed by undo restores the ledger and
 the totals exactly (the hypothesis battery in
 ``tests/search/test_move_properties.py`` pins this).
+
+The module also owns :class:`Objective` and
+:func:`objective_from_totals`, the one scalarisation every engine
+(greedy, exhaustive, the metaheuristics in :mod:`repro.search`) folds
+its totals through, so their objective values are bit-comparable.
 """
 
 from __future__ import annotations
 
+import enum
 import random
 from dataclasses import dataclass
 
-from repro.core.assignment import Objective, objective_from_totals
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.frontier import FrontierScorer
 from repro.core.incremental import IncrementalEvaluator, OccupancyLedger
 from repro.errors import ValidationError
 
-__all__ = ["AddCopy", "DropCopy", "Move", "Rehome", "SearchState"]
+__all__ = [
+    "AddCopy",
+    "DropCopy",
+    "Move",
+    "Objective",
+    "Rehome",
+    "SearchState",
+    "add_sites_of",
+    "drop_sites_of",
+    "objective_from_totals",
+]
+
+
+class Objective(enum.Enum):
+    """What the assignment search minimises."""
+
+    CYCLES = "cycles"
+    ENERGY = "energy"
+    EDP = "edp"
+
+
+def objective_from_totals(
+    cycles: float, energy: float, objective: Objective
+) -> float:
+    """Objective scalar from pre-folded totals (lower is better)."""
+    if objective is Objective.CYCLES:
+        return cycles
+    if objective is Objective.ENERGY:
+        return energy
+    return cycles * energy
 
 
 @dataclass(frozen=True)
@@ -77,6 +110,26 @@ class Rehome:
 Move = AddCopy | DropCopy | Rehome
 
 
+def add_sites_of(ctx: AnalysisContext) -> tuple[AddCopy, ...]:
+    """Every copy placement, in deterministic ``ctx.specs`` x hierarchy order."""
+    onchip = tuple(layer.name for layer in ctx.platform.hierarchy.onchip_layers)
+    return tuple(
+        AddCopy(group_key, candidate.uid, layer_name)
+        for group_key, spec in ctx.specs.items()
+        for candidate in spec.candidates
+        for layer_name in onchip
+    )
+
+
+def drop_sites_of(assignment: Assignment) -> tuple[DropCopy, ...]:
+    """Every selected copy of *assignment* as a drop move."""
+    return tuple(
+        DropCopy(group_key, uid, layer_name)
+        for group_key, selections in assignment.copies.items()
+        for uid, layer_name in selections
+    )
+
+
 class SearchState:
     """One walkable point of the assignment space (see module docstring).
 
@@ -115,16 +168,10 @@ class SearchState:
         hierarchy = ctx.platform.hierarchy
         self._onchip = tuple(layer.name for layer in hierarchy.onchip_layers)
         self._offchip = hierarchy.offchip.name
-        # Static add-move site table, in deterministic (ctx.specs x
-        # hierarchy) order, so seeded random proposals replay
-        # identically.  Drop/rehome sites depend on the current
-        # assignment and are enumerated on demand.
-        self.add_sites: tuple[AddCopy, ...] = tuple(
-            AddCopy(group_key, candidate.uid, layer_name)
-            for group_key, spec in ctx.specs.items()
-            for candidate in spec.candidates
-            for layer_name in self._onchip
-        )
+        # Static add-move site table, in deterministic order, so seeded
+        # random proposals replay identically.  Drop/rehome sites
+        # depend on the current assignment and are enumerated on demand.
+        self.add_sites = add_sites_of(ctx)
 
     # ------------------------------------------------------------------
     # scoring (pure probes)
@@ -322,11 +369,7 @@ class SearchState:
 
     def drop_sites(self) -> tuple[DropCopy, ...]:
         """Every currently selected copy as a drop move (dynamic)."""
-        return tuple(
-            DropCopy(group_key, uid, layer_name)
-            for group_key, selections in self.assignment.copies.items()
-            for uid, layer_name in selections
-        )
+        return drop_sites_of(self.assignment)
 
     def rehome_sites(self) -> tuple[Rehome, ...]:
         """Every array-home change away from the current home (dynamic)."""

@@ -3,21 +3,23 @@
 The paper's steering loop explores layer assignments far beyond what
 greedy steepest descent or exhaustive enumeration covers at realistic
 scale.  This package is the subsystem that makes large assignment
-spaces tractable: a common anytime engine skeleton over PR 1's
-O(delta) :class:`~repro.core.incremental.IncrementalEvaluator`, four
-metaheuristic strategies, an exact probe, and a portfolio that races
-them under a shared budget.
+spaces tractable: a common anytime engine skeleton over
+:class:`~repro.core.state.SearchState` (the move, scoring and
+apply/undo layer greedy walks too), four metaheuristic strategies, an
+exact probe, and a portfolio that races them under a shared budget.
 
 Layers
 ------
 
+* :mod:`repro.core.state`       — :class:`SearchState` (re-exported
+  here), the mutable walk state: O(delta) move scoring via
+  contribution substitution, exact apply/undo, occupancy-ledger
+  feasibility probes, seeded move proposal over the ``(group, home,
+  copies)`` space.  It lives in :mod:`repro.core` because
+  :class:`~repro.core.assignment.GreedyAssigner` walks it.
 * :mod:`repro.search.config`    — :class:`AssignerSpec`, the picklable
   (name, budget, seed) recipe carried by sweep cells, cache keys and
   the CLI.
-* :mod:`repro.search.state`     — :class:`SearchState`, the mutable
-  walk state: O(delta) move scoring via contribution substitution,
-  exact apply/undo, occupancy-ledger feasibility probes, seeded move
-  proposal over the ``(group, home, copies)`` space.
 * :mod:`repro.search.engine`    — :class:`SearchEngine` (greedy warm
   start, incumbent tracking, :class:`SearchBudget` node/time budgets,
   strategy-attributed traces) and :class:`ExactSearch`.
@@ -39,6 +41,7 @@ matches the exhaustive optimum on cases small enough for its exact
 member to finish.
 """
 
+from repro.core.state import AddCopy, DropCopy, Rehome, SearchState
 from repro.search.anneal import AnnealingSearch
 from repro.search.beam import BeamSearch
 from repro.search.config import DEFAULT_BUDGET, AssignerSpec
@@ -61,7 +64,6 @@ from repro.search.registry import (
     strategy_class,
 )
 from repro.search.restart import RestartGreedySearch
-from repro.search.state import AddCopy, DropCopy, Rehome, SearchState
 from repro.search.tabu import TabuSearch
 
 __all__ = [

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import random
 
+from repro.core.state import SearchState
 from repro.search.engine import Incumbent, SearchEngine
-from repro.search.state import SearchState
 
 __all__ = ["AnnealingSearch"]
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.assignment import objective_from_totals
 from repro.core.frontier import FrontierScorer
 from repro.core.incremental import OccupancyLedger
+from repro.core.state import SearchState, objective_from_totals
 from repro.search.engine import Incumbent, SearchEngine
-from repro.search.state import SearchState
 
 __all__ = ["BeamSearch"]
 

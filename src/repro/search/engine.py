@@ -18,7 +18,7 @@ The shared skeleton (:class:`SearchEngine`) provides:
   :class:`~repro.core.assignment.SearchTrace` assembly.
 
 Strategies implement one hook, :meth:`SearchEngine._explore`, which
-walks a :class:`~repro.search.state.SearchState` and reports
+walks a :class:`~repro.core.state.SearchState` and reports
 improvements through :class:`Incumbent`.
 """
 
@@ -38,10 +38,10 @@ from repro.core.assignment import (
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.exhaustive import ExhaustiveAssigner
 from repro.core.incremental import IncrementalEvaluator
+from repro.core.state import SearchState
 from repro.errors import AssignmentError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import global_registry
-from repro.search.state import SearchState
 
 __all__ = ["ExactSearch", "Incumbent", "SearchBudget", "SearchEngine"]
 

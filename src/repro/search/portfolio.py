@@ -69,8 +69,12 @@ def exact_probe_allowance(total_budget: int) -> int:
     """
     from repro.search.engine import EXACT_NODE_FACTOR
 
-    share = max(1, total_budget // len(DEFAULT_PORTFOLIO))
-    return share * EXACT_NODE_FACTOR
+    return _member_share(total_budget) * EXACT_NODE_FACTOR
+
+
+def _member_share(total_budget: int) -> int:
+    """Nodes each portfolio member gets: an even split of the budget."""
+    return max(1, total_budget // len(DEFAULT_PORTFOLIO))
 
 
 @dataclass(frozen=True)
@@ -160,10 +164,8 @@ class PortfolioRunner:
     budget:
         Total node budget, split evenly across members.
     seed:
-        Base seed; member *i* runs with ``seed + i * stride``.
-    strategies:
-        Member names (defaults to :data:`DEFAULT_PORTFOLIO`); resolved
-        through :mod:`repro.search.registry`.
+        Base seed; member *i* of :data:`DEFAULT_PORTFOLIO` runs with
+        ``seed + i * stride``.
     evaluator:
         Optionally share a pre-warmed evaluator.
     jobs:
@@ -185,7 +187,6 @@ class PortfolioRunner:
         objective: Objective = Objective.EDP,
         budget: SearchBudget | None = None,
         seed: int = 0,
-        strategies: tuple[str, ...] = DEFAULT_PORTFOLIO,
         evaluator: IncrementalEvaluator | None = None,
         jobs: int = 1,
         race_recipe: tuple | None = None,
@@ -196,8 +197,7 @@ class PortfolioRunner:
         self.objective = objective
         self.budget = budget if budget is not None else SearchBudget()
         self.seed = seed
-        self.strategies = tuple(strategies)
-        self._classes = [strategy_class(name) for name in self.strategies]
+        self._classes = [strategy_class(name) for name in DEFAULT_PORTFOLIO]
         self.evaluator = evaluator or IncrementalEvaluator(ctx)
         self.jobs = jobs
         self.race_recipe = race_recipe
@@ -207,7 +207,7 @@ class PortfolioRunner:
 
     def _run_member_local(self, position: int, share: int, warm) -> _MemberRun:
         """One member, sequentially, on the shared evaluator."""
-        name, cls = self.strategies[position], self._classes[position]
+        name, cls = DEFAULT_PORTFOLIO[position], self._classes[position]
         # Members share the PORTFOLIO's deadline: each gets the wall
         # time still remaining, not a fresh full allowance.
         member_budget = SearchBudget(
@@ -239,14 +239,9 @@ class PortfolioRunner:
         re-runs in-parent — the returned list always has one entry per
         raceable member, in the same order either way.
         """
-        parallel = (
-            self.jobs > 1
-            and self.race_recipe is not None
-            and len(self.strategies) > 1
-        )
-        if not parallel:
+        if self.jobs <= 1 or self.race_recipe is None:
             runs = []
-            for position in range(len(self.strategies)):
+            for position in range(len(DEFAULT_PORTFOLIO)):
                 remaining_s = self.budget.remaining_time()
                 if remaining_s is not None and remaining_s <= 0:
                     break
@@ -268,7 +263,7 @@ class PortfolioRunner:
                 self.seed + position * _SEED_STRIDE,
                 remaining_s,
             )
-            for position, name in enumerate(self.strategies)
+            for position, name in enumerate(DEFAULT_PORTFOLIO)
         ]
         raced = get_pool().map_batched(_run_race_member, tasks, self.jobs)
         runs = []
@@ -289,7 +284,7 @@ class PortfolioRunner:
         greedy_assignment, greedy_trace = warm
         greedy_value = greedy_trace.final_value
 
-        share = max(1, self.budget.nodes // max(1, len(self._classes)))
+        share = _member_share(self.budget.nodes)
         best_assignment = greedy_assignment
         best_value = greedy_value
         best_name = "greedy"
@@ -327,7 +322,7 @@ class PortfolioRunner:
         steps.extend(best_events)
         steps.append(
             f"portfolio: {best_name} wins at {best_value:.6g} "
-            f"({nodes_used} nodes across {len(self.strategies)} strategies)"
+            f"({nodes_used} nodes across {len(DEFAULT_PORTFOLIO)} strategies)"
         )
         stats = fold_search_stats(
             greedy_trace.stats,

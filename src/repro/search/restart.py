@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import random
 
+from repro.core.state import SearchState
 from repro.search.engine import Incumbent, SearchEngine
-from repro.search.state import SearchState
 
 __all__ = ["RestartGreedySearch"]
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 
+from repro.core.state import AddCopy, DropCopy, Move, Rehome, SearchState
 from repro.search.engine import Incumbent, SearchEngine
-from repro.search.state import AddCopy, DropCopy, Move, Rehome, SearchState
 
 __all__ = ["TabuSearch"]
 

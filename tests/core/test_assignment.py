@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.core.assignment as assignment_module
 from repro.core.assignment import GreedyAssigner, Objective, objective_value
 from repro.core.context import AnalysisContext
 from repro.core.costs import estimate_cost
+from repro.errors import AssignmentError
 
 
 class TestObjective:
@@ -101,3 +103,10 @@ class TestGreedySearch:
         final = estimate_cost(ctx, assignment)
         value = objective_value(final, Objective.EDP)
         assert value <= objective_value(baseline, Objective.EDP)
+
+    @pytest.mark.parametrize("use_incremental", [True, False])
+    def test_step_bound_raises(self, window_ctx, monkeypatch, use_incremental):
+        """A search that still improves after MAX_STEPS moves is an error."""
+        monkeypatch.setattr(assignment_module, "MAX_STEPS", 1)
+        with pytest.raises(AssignmentError, match="did not converge in 1 steps"):
+            GreedyAssigner(window_ctx, use_incremental=use_incremental).run()

@@ -21,6 +21,7 @@ from repro.core.exhaustive import ExhaustiveAssigner
 from repro.core.incremental import IncrementalEvaluator
 from repro.errors import ValidationError
 from repro.memory.presets import embedded_3layer
+from repro.units import kib
 from tests.conftest import (
     make_hist_program,
     make_self_dependent_program,
@@ -169,9 +170,16 @@ class TestRandomWalkEquivalence:
 class TestGreedyEquivalence:
     """Incremental and monolithic greedy return identical results."""
 
+    # The default platform, and the smallest layer sizes the sweeps use,
+    # where the capacity probes reject moves.
+    @pytest.mark.parametrize(
+        "platform",
+        [{}, {"l1_bytes": 512, "l2_bytes": kib(16)}],
+        ids=["default", "small"],
+    )
     @pytest.mark.parametrize("app_name", all_app_names())
-    def test_all_apps_identical(self, app_name):
-        ctx = AnalysisContext(build_app(app_name), embedded_3layer())
+    def test_all_apps_identical(self, app_name, platform):
+        ctx = AnalysisContext(build_app(app_name), embedded_3layer(**platform))
         incremental, inc_trace = GreedyAssigner(ctx).run()
         reference, ref_trace = GreedyAssigner(ctx, use_incremental=False).run()
         assert incremental.array_home == reference.array_home
@@ -179,10 +187,12 @@ class TestGreedyEquivalence:
         assert inc_trace.steps == ref_trace.steps
         assert inc_trace.initial_value == ref_trace.initial_value
         assert inc_trace.final_value == ref_trace.final_value
-        # both paths score the same number of candidate moves
-        assert (
-            inc_trace.stats.moves_evaluated == ref_trace.stats.moves_evaluated
-        )
+        # both paths score the same candidate moves and walk the same way
+        inc_stats, ref_stats = inc_trace.stats, ref_trace.stats
+        assert inc_stats.moves_evaluated == ref_stats.moves_evaluated
+        assert inc_stats.rounds == ref_stats.rounds
+        assert inc_stats.moves_applied == ref_stats.moves_applied
+        assert inc_stats.cleanup_drops == ref_stats.cleanup_drops
 
     @pytest.mark.parametrize("factory", FIXTURE_FACTORIES)
     @pytest.mark.parametrize("objective", list(Objective))

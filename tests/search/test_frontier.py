@@ -6,9 +6,8 @@ instead of refolding the whole contribution list per move.  Floating
 point is not associative, so "mathematically equal" is not enough —
 these properties pin **bit identity** (``==`` on floats, no tolerance)
 between the batched path and the per-move reference
-(:meth:`SearchState.score`) across arbitrary generated cases, seeded
-walks with applies in between, and both suffix-replay backends (pure
-``sum()`` and numpy ``add.accumulate``) when numpy is importable.
+(:meth:`SearchState.score`) across arbitrary generated cases and
+seeded walks with applies in between.
 
 Deadlines are disabled for the same reason as the move-property
 battery: an example builds a whole analysis context.
@@ -16,12 +15,10 @@ battery: an example builds a whole analysis context.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import AnalysisContext
-from repro.core.frontier import FrontierScorer, _np
 from repro.search import SearchState
 from repro.synth import generate_case
 
@@ -78,40 +75,6 @@ class TestFrontierBitIdentity:
         assert scorer.base_totals() == state.evaluator.totals_of(
             state.contribs
         )
-
-    @given(case=CASE_SEEDS, walk=WALK_SEEDS)
-    @settings(max_examples=20, deadline=None)
-    def test_numpy_and_pure_backends_agree_bitwise(self, case, walk):
-        if _np is None:
-            pytest.skip("numpy not importable in this environment")
-        state = _state_for(case)
-        rng = random.Random(walk)
-        moves = _sample(state, rng, 24)
-        pure = FrontierScorer(
-            state.contribs, state.evaluator.compute_cycles, use_numpy=False
-        )
-        fast = FrontierScorer(
-            state.contribs, state.evaluator.compute_cycles, use_numpy=True
-        )
-        for move in moves:
-            substitutions = state._move_substitutions(move)
-            if substitutions is None:
-                continue
-            assert pure.substituted_totals(
-                substitutions
-            ) == fast.substituted_totals(substitutions)
-
-    def test_forced_numpy_without_numpy_raises(self, monkeypatch):
-        import repro.core.frontier as frontier_mod
-
-        state = _state_for(0)
-        monkeypatch.setattr(frontier_mod, "_np", None)
-        with pytest.raises(RuntimeError):
-            FrontierScorer(
-                state.contribs,
-                state.evaluator.compute_cycles,
-                use_numpy=True,
-            )
 
     def test_empty_substitutions_return_base_totals(self):
         state = _state_for(1)
