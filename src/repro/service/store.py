@@ -14,9 +14,18 @@ address identical lines.  Data records are append-only: a re-``put``
 of a known key is a no-op (content-addressed records cannot change
 meaning), and loading replays the segments in order with
 last-key-wins, so an interrupted writer at worst loses its final
-line.  A truncated trailing line (killed process) is skipped with a
-warning — and *counted*, so ``repro cache verify`` and the ``stats``
-RPC surface corruption instead of dropping it invisibly.
+line.  A truncated trailing line (killed process) or a line that is
+not ASCII (records are written with ``ensure_ascii``, so any other
+byte is damage) is skipped with a warning — and *counted*, so
+``repro cache verify`` and the ``stats`` RPC surface corruption
+instead of dropping it invisibly.
+
+The in-memory view (live records, LRU order, live bytes, claims) is
+changed only by **replaying records**: load, sync, ``verify`` and
+every write fold records through one ``_replay``, and one line
+scanner turns segment bytes into records.  A write builds its record
+once and replays it, so what a process sees after its own write is
+exactly what any other process sees after replaying the log.
 
 Five **control kinds** interleave with data records and drive the
 cache lifecycle (:meth:`ResultStore.put` rejects them):
@@ -103,7 +112,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.analysis.export import result_from_state, result_to_state
 from repro.core.mhla import MhlaResult
@@ -173,7 +182,7 @@ DEFAULT_CLAIM_TTL_S = 60.0
 """Default lease duration of an in-flight claim.
 
 Long enough that no single cell evaluation outlives its lease on a
-loaded machine (a expired lease means a sibling may duplicate the
+loaded machine (an expired lease means a sibling may duplicate the
 work — never a wrong result, results are content-addressed), short
 enough that a crashed server's claims are taken over promptly.  Tune
 per deployment with ``--claim-ttl``.
@@ -193,8 +202,95 @@ _CORRUPT_DETAIL_CAP = 50
 """Most corrupt-line locations kept for reporting (counts are exact)."""
 
 
+_KIND_COUNTERS = {
+    KIND_TOUCH: "touches",
+    KIND_TOMBSTONE: "tombstones",
+    KIND_COMPACTION: "compactions",
+    KIND_CLAIM: "claims",
+    KIND_RELEASE: "releases",
+}
+"""``verify()``'s per-file counter of each control kind (data records
+count as ``records``)."""
+
+
+def _record(key: str, kind: str, payload: dict) -> dict:
+    return {
+        "format": STORE_FORMAT_VERSION,
+        "key": key,
+        "kind": kind,
+        "payload": payload,
+    }
+
+
+def _release(key: str, claim_id: str, reclaimed: bool) -> dict:
+    return _record(
+        key, KIND_RELEASE, {"claim_id": claim_id, "reclaimed": reclaimed}
+    )
+
+
 def _encode(record: dict) -> bytes:
     return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _parse_line(line: str) -> tuple[dict | None, str | None]:
+    """One decoded line -> (record, None) or (None, rejection reason)."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None, "corrupt"
+    if (
+        not isinstance(record, dict)
+        or record.get("format") != STORE_FORMAT_VERSION
+        or not isinstance(record.get("key"), str)
+        or not isinstance(record.get("kind"), str)
+        or not isinstance(record.get("payload"), dict)
+    ):
+        return None, "unrecognised"
+    return record, None
+
+
+def _scan(
+    data: bytes, at_open: bool = True
+) -> tuple[int, Iterator[tuple[int, int, dict | None, str | None]]]:
+    """Split raw segment bytes into lines: ``(consumed, lines)``.
+
+    Lines end at ``b"\\n"`` only.  A trailing fragment without a
+    newline is a torn write: at open time (*at_open*) the writer is
+    assumed dead and the fragment is consumed like any other line;
+    otherwise it is assumed to be a live writer mid-append and left
+    unconsumed, so *consumed* stops before it.  Each non-blank line
+    gives ``(lineno, nbytes, record, reason)``: its 1-based number
+    within *data*, its size including the newline, and the parsed
+    record or the reason it was rejected.  Decoding is strict ASCII, as
+    records are written: a line that does not decode is ``corrupt``.  *lines* is lazy, so a
+    replayed record that is later superseded is freed at once instead
+    of being held (and traversed by the garbage collector) until the
+    whole file is parsed.
+    """
+    consumed = len(data) if at_open else data.rfind(b"\n") + 1
+
+    def lines():
+        offset = lineno = 0
+        while offset < consumed:
+            newline = data.find(b"\n", offset, consumed)
+            end = consumed if newline == -1 else newline
+            raw, offset, lineno = data[offset:end], end + 1, lineno + 1
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError:
+                yield lineno, len(raw) + 1, None, "corrupt"
+                continue
+            if line.strip():
+                yield (lineno, len(raw) + 1, *_parse_line(line))
+
+    return consumed, lines()
+
+
+def _live_by_kind(index: dict[str, dict]) -> dict[str, int]:
+    by_kind: dict[str, int] = {}
+    for record in index.values():
+        by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
+    return dict(sorted(by_kind.items()))
 
 
 class ResultStore:
@@ -345,14 +441,13 @@ class ResultStore:
             # pure-hit workload would otherwise never trigger eviction.
             self._enforce_limits()
 
-    def _reset_view(self) -> None:
+    def _clear_view(self) -> None:
+        """Forget every live record and claim (replay starts over)."""
         self._index.clear()
         self._line_bytes.clear()
         self._lru_order.clear()
         self._claims.clear()
         self._live_bytes = 0
-        self._active_bytes = 0
-        self._seg_progress = {}
 
     def _load_directory(self) -> None:
         """Replay every segment, retrying if a concurrent writer seals
@@ -366,7 +461,9 @@ class ResultStore:
         """
         for attempt in range(5):
             tolerant = attempt == 4
-            self._reset_view()
+            self._clear_view()
+            self._active_bytes = 0
+            self._seg_progress = {}
             self._corrupt_count.set(0)
             self._unrecognised_count.set(0)
             self._corrupt_detail = []
@@ -418,24 +515,8 @@ class ResultStore:
         ]
         return max(numbers, default=0) + 1
 
-    @staticmethod
-    def _parse_line(line: str) -> tuple[dict | None, str | None]:
-        """One raw line -> (record, None) or (None, rejection reason)."""
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None, "corrupt"
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != STORE_FORMAT_VERSION
-            or not isinstance(record.get("key"), str)
-            or not isinstance(record.get("kind"), str)
-            or not isinstance(record.get("payload"), dict)
-        ):
-            return None, "unrecognised"
-        return record, None
-
     def _note_damage(self, file: pathlib.Path, lineno: int, reason: str) -> None:
+        """Count one damaged line; locate and warn about the first few."""
         if reason == "corrupt":
             self._corrupt_count.inc()
             label = "skipping corrupt cache line"
@@ -446,7 +527,7 @@ class ResultStore:
             self._corrupt_detail.append(
                 {"file": file.name, "line": lineno, "reason": reason}
             )
-        print(f"warning: {file}:{lineno}: {label}", file=sys.stderr)
+            print(f"warning: {file}:{lineno}: {label}", file=sys.stderr)
 
     def _replay(self, record: dict, nbytes: int) -> None:
         """Apply one parsed record to the in-memory view."""
@@ -455,11 +536,7 @@ class ResultStore:
         if kind == KIND_COMPACTION:
             # Snapshot boundary: everything replayed so far came from
             # segments this one supersedes (crash mid-cleanup).
-            self._index.clear()
-            self._line_bytes.clear()
-            self._lru_order.clear()
-            self._claims.clear()
-            self._live_bytes = 0
+            self._clear_view()
             return
         if kind == KIND_TOMBSTONE:
             if key in self._index:
@@ -523,46 +600,27 @@ class ResultStore:
         """Replay records of *file* from byte offset *start*; returns
         the offset consumed (the file's replay progress).
 
-        A trailing line without a newline is a torn write: at open time
-        (*at_open*) the writer is assumed dead and the fragment is
-        consumed like any other line (parseable -> replayed, otherwise
-        counted corrupt); during an incremental sync it is assumed to
-        be a *live* sibling mid-append and left unconsumed, so the
-        completed record replays on a later sync.
+        *at_open* selects :func:`_scan`'s torn-tail rule: during an
+        incremental sync a trailing fragment is a *live* sibling
+        mid-append, left for a later sync to replay once completed.
         """
         with file.open("rb") as handle:
             if start:
                 handle.seek(start)
             data = handle.read()
-        end = len(data)
-        if end <= 0:
-            return start
+        consumed, lines = _scan(data, at_open)
         # line numbers (damage reports only) are relative to the whole
         # file; the prefix line count is computed lazily because the
         # hot path — tail-syncing a clean file — must not re-read it
         prefix_lines: int | None = 0 if start == 0 else None
-        tail_lines = 0
-        offset = 0
-        while offset < end:
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                if not at_open:
-                    break
-                raw, next_offset = data[offset:end], end
+        for lineno, nbytes, record, reason in lines:
+            if record is None:
+                if prefix_lines is None:
+                    prefix_lines = self._count_lines_before(file, start)
+                self._note_damage(file, prefix_lines + lineno, reason)
             else:
-                raw, next_offset = data[offset:newline], newline + 1
-            tail_lines += 1
-            line = raw.decode("utf-8", errors="replace")
-            if line.strip():
-                record, reason = self._parse_line(line)
-                if record is None:
-                    if prefix_lines is None:
-                        prefix_lines = self._count_lines_before(file, start)
-                    self._note_damage(file, prefix_lines + tail_lines, reason)
-                else:
-                    self._replay(record, len(raw) + 1)
-            offset = next_offset
-        return start + offset
+                self._replay(record, nbytes)
+        return start + consumed
 
     @staticmethod
     def _count_lines_before(file: pathlib.Path, start: int) -> int:
@@ -749,16 +807,10 @@ class ResultStore:
     def _touch(self, key: str) -> None:
         if next(reversed(self._lru_order), None) == key:
             return
-        self._lru_order.move_to_end(key)
+        touch = _record(key, KIND_TOUCH, {})
+        self._replay(touch, 0)
         if self._bounded and self._file is not None:
-            self._append(
-                {
-                    "format": STORE_FORMAT_VERSION,
-                    "key": key,
-                    "kind": KIND_TOUCH,
-                    "payload": {},
-                }
-            )
+            self._append(touch)
             self._touches_written.inc()
 
     def put(self, key: str, kind: str, payload: dict) -> bool:
@@ -776,21 +828,11 @@ class ResultStore:
             raise StoreError(
                 f"record kind {kind!r} is reserved for the store lifecycle"
             )
-        record = {
-            "format": STORE_FORMAT_VERSION,
-            "key": key,
-            "kind": kind,
-            "payload": payload,
-        }
+        record = _record(key, kind, payload)
         with self._lock:
             if key in self._index:
                 return False
-            nbytes = self._append(record)
-            self._index[key] = record
-            self._line_bytes[key] = nbytes
-            self._live_bytes += nbytes
-            self._lru_order[key] = None
-            self._claims.pop(key, None)
+            self._replay(record, self._append(record))
             self._enforce_limits(protect=key)
             self._maybe_auto_compact()
         return True
@@ -817,28 +859,8 @@ class ResultStore:
             payload["trace_id"] = trace_id
         return payload
 
-    def _write_claim(self, key: str, payload: dict) -> None:
-        self._append(
-            {
-                "format": STORE_FORMAT_VERSION,
-                "key": key,
-                "kind": KIND_CLAIM,
-                "payload": payload,
-            }
-        )
-        self._claims_written.inc()
-
-    def _write_release(
-        self, key: str, claim_id: str, reclaimed: bool = False
-    ) -> None:
-        self._append(
-            {
-                "format": STORE_FORMAT_VERSION,
-                "key": key,
-                "kind": KIND_RELEASE,
-                "payload": {"claim_id": claim_id, "reclaimed": reclaimed},
-            }
-        )
+    def _write_release(self, release: dict) -> None:
+        self._append(release)
         self._releases_written.inc()
 
     def _claim_usurpable(self, claim: dict, now: float) -> bool:
@@ -911,18 +933,18 @@ class ResultStore:
                 if not self._claim_expired_by(current, now):
                     # dead-pid fast path: retire the corpse's lease in
                     # the log so every replayer agrees it is gone
-                    self._write_release(
-                        key, current.get("claim_id", ""), reclaimed=True
-                    )
-                    self._claims.pop(key, None)
+                    release = _release(key, current.get("claim_id", ""), True)
+                    self._write_release(release)
+                    self._replay(release, 0)
                 self._claims_reclaimed.inc()
             payload = self._claim_payload(ttl_s, now, trace_id=trace_id)
+            claim = _record(key, KIND_CLAIM, payload)
+            self._append(claim)
+            self._claims_written.inc()
             if self._file is None:
                 # memory-only store: single process, we trivially win
-                self._claims[key] = payload
-                self._claims_written.inc()
+                self._replay(claim, 0)
                 return CLAIM_WON, payload["claim_id"]
-            self._write_claim(key, payload)
             # fold in everything appended since our last replay point —
             # our own record included — and let first-wins ordering
             # name the winner.  The _sync fast path deliberately skips
@@ -952,9 +974,10 @@ class ResultStore:
             current = self._claims.get(key)
             if current is None or current.get("claim_id") != claim_id:
                 return False
-            del self._claims[key]
+            release = _release(key, claim_id, False)
+            self._replay(release, 0)
             if self._file is not None:
-                self._write_release(key, claim_id)
+                self._write_release(release)
             return True
 
     def _replay_active_tail(self) -> None:
@@ -1060,26 +1083,13 @@ class ResultStore:
     def _evict_keys(self, victims: list[str]) -> None:
         if not victims:
             return
+        tombstones = [_record(key, KIND_TOMBSTONE, {}) for key in victims]
         if self._file is not None:
             # one write for the whole tombstone batch, not one file
             # open per victim
-            self._append_data(
-                b"".join(
-                    _encode(
-                        {
-                            "format": STORE_FORMAT_VERSION,
-                            "key": victim,
-                            "kind": KIND_TOMBSTONE,
-                            "payload": {},
-                        }
-                    )
-                    for victim in victims
-                )
-            )
-        for victim in victims:
-            del self._index[victim]
-            self._live_bytes -= self._line_bytes.pop(victim)
-            del self._lru_order[victim]
+            self._append_data(b"".join(map(_encode, tombstones)))
+        for tombstone in tombstones:
+            self._replay(tombstone, 0)
         self._evictions.inc(len(victims))
 
     def _evict_to(
@@ -1306,14 +1316,7 @@ class ResultStore:
         target = self._dir / f"segment-{self._next_segment_number():06d}.jsonl"
         with tmp.open("wb") as handle:
             handle.write(
-                _encode(
-                    {
-                        "format": STORE_FORMAT_VERSION,
-                        "key": "",
-                        "kind": KIND_COMPACTION,
-                        "payload": {"records": len(live)},
-                    }
-                )
+                _encode(_record("", KIND_COMPACTION, {"records": len(live)}))
             )
             for position, key in enumerate(live):
                 if position == len(live) // 2:
@@ -1332,16 +1335,7 @@ class ResultStore:
                 and not self._claim_expired_by(claim, now)
             }
             for key, claim in carried_claims.items():
-                handle.write(
-                    _encode(
-                        {
-                            "format": STORE_FORMAT_VERSION,
-                            "key": key,
-                            "kind": KIND_CLAIM,
-                            "payload": claim,
-                        }
-                    )
-                )
+                handle.write(_encode(_record(key, KIND_CLAIM, claim)))
             handle.flush()
             os.fsync(handle.fileno())
         self._crash_point("compact:pre-rename")
@@ -1385,9 +1379,6 @@ class ResultStore:
             file_bytes = sum(self._file_size(file) for file in sealed)
             if self._file is not None and self._file.exists():
                 file_bytes += self._file_size(self._file)
-            by_kind: dict[str, int] = {}
-            for record in self._index.values():
-                by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
             return {
                 "backend": "disk" if self._dir is not None else "memory",
                 "path": str(self._dir) if self._dir is not None else None,
@@ -1396,7 +1387,7 @@ class ResultStore:
                 "active_bytes": self._active_bytes,
                 "live_records": len(self._index),
                 "live_bytes": self._live_bytes,
-                "live_by_kind": dict(sorted(by_kind.items())),
+                "live_by_kind": _live_by_kind(self._index),
                 "hits": self._hits.value,
                 "misses": self._misses.value,
                 "evictions": self._evictions.value,
@@ -1421,10 +1412,12 @@ class ResultStore:
     def verify(self, deep: bool = False) -> dict:
         """Re-scan the directory and report every consistency problem.
 
-        Parses all segments from disk (independently of the in-memory
-        index), counting damaged lines with their locations, suspect
-        keys (not a content hash), and — with ``deep=True`` — payloads
-        of ``mhla_result`` records that no longer rebuild.  The replayed
+        Reads all segments from disk again and replays them into a
+        throwaway in-memory store with the same scanner and
+        :meth:`_replay` as load, so its counts match :meth:`stats`.  It
+        counts damaged lines with their locations, suspect keys (not a
+        content hash), and — with ``deep=True`` — payloads of
+        ``mhla_result`` records that no longer rebuild.  The replayed
         view is cross-checked against the in-memory index; ``ok`` is
         True only for a fully clean store.
 
@@ -1441,45 +1434,29 @@ class ResultStore:
         with self._lock:
             if self._dir is not None:
                 self._sync()
-            signature_before = (
-                self._dir_mtime_now(),
-                self._file_size(self._file) if self._file is not None else 0,
-            )
+            signature_before = self._signature()
+            probe = ResultStore()
             files = []
-            view: dict[str, dict] = {}
-            claims_view: dict[str, dict] = {}
             damage: list[dict] = []
             suspect_keys = 0
             vanished_files = 0
             seal_placeholders = 0
             for file in self._segment_files():
                 try:
-                    text = file.read_text()
+                    data = file.read_bytes()
                 except FileNotFoundError:
                     vanished_files += 1
                     continue
-                if not text and file.name != RESULTS_FILENAME:
+                if not data and file.name != RESULTS_FILENAME:
                     # empty sealed segment: a sibling's just-claimed
                     # seal target, about to receive the active file
                     seal_placeholders += 1
                     continue
-                counts = {
-                    "file": file.name,
-                    "lines": 0,
-                    "records": 0,
-                    "touches": 0,
-                    "tombstones": 0,
-                    "compactions": 0,
-                    "claims": 0,
-                    "releases": 0,
-                    "corrupt": 0,
-                    "unrecognised": 0,
-                }
-                for lineno, line in enumerate(text.splitlines(), start=1):
-                    if not line.strip():
-                        continue
+                counts = {"file": file.name, "lines": 0, "records": 0}
+                counts.update(dict.fromkeys(_KIND_COUNTERS.values(), 0))
+                counts.update(corrupt=0, unrecognised=0)
+                for lineno, nbytes, record, reason in _scan(data)[1]:
                     counts["lines"] += 1
-                    record, reason = self._parse_line(line)
                     if record is None:
                         counts[reason] += 1
                         if len(damage) < _CORRUPT_DETAIL_CAP:
@@ -1491,51 +1468,17 @@ class ResultStore:
                                 }
                             )
                         continue
-                    kind = record["kind"]
-                    if kind == KIND_COMPACTION:
-                        counts["compactions"] += 1
-                        view.clear()
-                        claims_view.clear()
-                    elif kind == KIND_TOMBSTONE:
-                        counts["tombstones"] += 1
-                        view.pop(record["key"], None)
-                    elif kind == KIND_TOUCH:
-                        counts["touches"] += 1
-                    elif kind == KIND_CLAIM:
-                        counts["claims"] += 1
-                        # mirror _replay_claim: first unexpired claim
-                        # wins, a stored result makes the claim noise
-                        key = record["key"]
-                        payload = record.get("payload", {})
-                        if key not in view and isinstance(
-                            payload.get("claim_id"), str
-                        ):
-                            current = claims_view.get(key)
-                            if current is None or self._claim_expired_by(
-                                current, payload.get("claimed_at", 0.0)
-                            ):
-                                claims_view[key] = payload
-                    elif kind == KIND_RELEASE:
-                        counts["releases"] += 1
-                        key = record["key"]
-                        current = claims_view.get(key)
-                        claim_id = record.get("payload", {}).get("claim_id")
-                        if (
-                            current is not None
-                            and current.get("claim_id") == claim_id
-                        ):
-                            del claims_view[key]
-                    else:
-                        counts["records"] += 1
+                    field = _KIND_COUNTERS.get(record["kind"], "records")
+                    counts[field] += 1
+                    if field == "records":
                         if not is_content_key(record["key"]):
                             suspect_keys += 1
-                        view[record["key"]] = record
-                        claims_view.pop(record["key"], None)
+                    probe._replay(record, nbytes)
                 files.append(counts)
             deep_checked = 0
             deep_failures: list[dict] = []
             if deep:
-                for key, record in view.items():
+                for key, record in probe._index.items():
                     if record["kind"] != KIND_RESULT:
                         continue
                     deep_checked += 1
@@ -1548,39 +1491,30 @@ class ResultStore:
                             )
             corrupt = sum(counts["corrupt"] for counts in files)
             unrecognised = sum(counts["unrecognised"] for counts in files)
-            matches_memory = (
-                set(view) == set(self._index)
-                if self._dir is not None
-                else True
+            # a memory store has no files to replay: nothing to compare
+            on_disk = self._dir is not None
+            matches_memory = not on_disk or (
+                probe._index.keys() == self._index.keys()
             )
-            signature_after = (
-                self._dir_mtime_now(),
-                self._file_size(self._file) if self._file is not None else 0,
-            )
-            directory_changed = (
-                self._dir is not None and signature_before != signature_after
+            directory_changed = on_disk and (
+                signature_before != self._signature()
             )
             in_progress = self._in_progress_artifacts(seal_placeholders)
             # a scan raced by a live writer legitimately diverges from
             # this process's view; only a *stable* mismatch is damage
             unstable = directory_changed or vanished_files > 0
-            by_kind: dict[str, int] = {}
-            for record in view.values():
-                by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
             # gc() prunes expired leases from memory without logging,
             # so claims agreement is informational only: it must never
             # make `ok` depend on wall-clock time
             claims_match_memory = (
-                set(claims_view) == set(self._claims)
-                if self._dir is not None
-                else True
+                not on_disk or probe._claims.keys() == self._claims.keys()
             )
             return {
                 "files": files,
-                "live_records": len(view),
-                "live_claims": len(claims_view),
+                "live_records": len(probe._index),
+                "live_claims": len(probe._claims),
                 "claims_match_memory": claims_match_memory,
-                "live_by_kind": dict(sorted(by_kind.items())),
+                "live_by_kind": _live_by_kind(probe._index),
                 "corrupt_lines": corrupt,
                 "unrecognised_lines": unrecognised,
                 "damage": damage,
@@ -1599,6 +1533,13 @@ class ResultStore:
                     and not deep_failures
                 ),
             }
+
+    def _signature(self) -> tuple[int | None, int]:
+        """Directory mtime and active size: differs once anyone writes."""
+        return (
+            self._dir_mtime_now(),
+            self._file_size(self._file) if self._file is not None else 0,
+        )
 
     def _in_progress_artifacts(self, seal_placeholders: int) -> dict:
         """Evidence of concurrent writer activity, for ``verify()``."""

@@ -340,14 +340,78 @@ class TestCompaction:
         assert len(ResultStore(tmp_path)) == 3
 
 
+DAMAGED_KEY = key_of("damaged")
+
+# kind of damage -> (corrupt, unrecognised) lines it leaves behind
+DAMAGE_KINDS = {
+    "truncated": (1, 1),
+    "non_utf8": (1, 0),
+    "control_char": (1, 0),
+    "payload_byte": (1, 0),
+    "payload_utf8": (1, 0),
+}
+
+
 class TestDamageAccounting:
-    def damaged_dir(self, tmp_path):
+    def damaged_dir(self, tmp_path, damage="truncated"):
         store = ResultStore(tmp_path)
         fill(store, 2)
-        with store.path.open("a") as handle:
-            handle.write('{"format": 1, "key": "trunc\n')       # corrupt
-            handle.write('{"format": 99, "key": "x"}\n')        # unrecognised
+        if damage == "truncated":
+            with store.path.open("a") as handle:
+                handle.write('{"format": 1, "key": "trunc\n')       # corrupt
+                handle.write('{"format": 99, "key": "x"}\n')        # unrecognised
+            return tmp_path
+        store.put(DAMAGED_KEY, KIND_FUZZ_VERDICT, {"text": "hello"})
+        data = store.path.read_bytes()
+        if damage == "non_utf8":
+            # the damaged key's whole line turns to non-UTF-8 bytes
+            data = data[: data.rindex(b"\n", 0, -1) + 1]
+            data += b"\xff\xfe\xfa not utf-8 \xc3\n"
+        elif damage == "control_char":
+            # str.splitlines() would split this line in two
+            data = data.replace(b'"hello"', b'"he\x1cllo"')
+        elif damage == "payload_byte":
+            # still valid JSON once decoded leniently: must not be served
+            data = data.replace(b'"hello"', b'"he\xfflo"')
+        else:
+            # two bytes damaged into valid UTF-8 ("\u00e9"): still damage
+            data = data.replace(b'"hello"', b'"h\xc3\xa9lo"')
+        store.path.write_bytes(data)
         return tmp_path
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE_KINDS))
+    def test_verify_counts_what_load_counts(self, tmp_path, capsys, damage):
+        directory = self.damaged_dir(tmp_path, damage)
+        loaded = ResultStore(directory)
+        stats = loaded.stats()
+        report = ResultStore(directory).verify()
+        assert (stats["corrupt_lines"], stats["unrecognised_lines"]) == (
+            DAMAGE_KINDS[damage]
+        )
+        assert report["corrupt_lines"] == stats["corrupt_lines"]
+        assert report["unrecognised_lines"] == stats["unrecognised_lines"]
+        assert report["damage"] == loaded._corrupt_detail
+        assert report["live_records"] == stats["live_records"] == 2
+        assert loaded.get(DAMAGED_KEY, KIND_FUZZ_VERDICT) is None
+        assert not report["ok"]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE_KINDS))
+    def test_cli_verify_reports_damage(self, tmp_path, capsys, damage):
+        from repro.cli import main
+
+        directory = self.damaged_dir(tmp_path, damage)
+        assert main(["cache", "verify", str(directory)]) == 1
+        assert "INCONSISTENT" in capsys.readouterr().out
+
+    def test_damage_warnings_are_bounded(self, tmp_path, capsys):
+        fill(ResultStore(tmp_path), 2)
+        with (tmp_path / RESULTS_FILENAME).open("a") as handle:
+            handle.write("not json\n" * 200)
+        capsys.readouterr()
+        store = ResultStore(tmp_path)
+        assert store.stats()["corrupt_lines"] == 200
+        warnings = capsys.readouterr().err.splitlines()
+        assert 0 < len(warnings) <= 50
 
     def test_stats_count_damage(self, tmp_path, capsys):
         store = ResultStore(self.damaged_dir(tmp_path))

@@ -2,7 +2,7 @@
 
 For *any* interleaving of puts, gets, GC evictions, compactions,
 segment rolls and process restarts, the store's visible view must
-satisfy two invariants against a naive model (a plain dict recording
+satisfy three invariants against a naive model (a plain dict recording
 the last *accepted* put per key — re-puts of a live key are no-ops by
 the append-only contract; a re-put after eviction is a fresh record):
 
@@ -11,6 +11,9 @@ the append-only contract; a re-put after eviction is a fresh record):
   swaps a surviving record;
 * compaction and reopening change **nothing** visible: the view before
   the operation equals the view after it, key for key, byte for byte.
+* every write changes the view exactly as replaying it does: after
+  each operation a fresh store opened on the directory has the same
+  visible view and the same live bytes.
 
 Segment rolling is exercised implicitly: the store under test uses a
 tiny ``segment_max_bytes``, so a handful of puts spans several sealed
@@ -98,6 +101,10 @@ def test_lifecycle_preserves_last_key_wins_view(ops):
             assert set(view) <= set(naive)
             for key, payload in view.items():
                 assert payload == naive[key]
+            # every write changed the view exactly as replaying it does
+            replayed = ResultStore(tmp, segment_max_bytes=256)
+            assert visible_view(replayed) == view
+            assert replayed.live_bytes == store.live_bytes
 
         # final restart must also be loss- and corruption-free
         final = visible_view(store)
