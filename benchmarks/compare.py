@@ -1,33 +1,26 @@
-"""Diff two ``BENCH_*.json`` snapshots and flag perf regressions.
+"""Diff two ``BENCH_search.json`` snapshots and flag perf regressions.
 
-The committed snapshots under ``benchmarks/out/`` are the perf
-trajectory of the repo; this tool turns a before/after pair into a
-review-ready table and a CI-usable exit code::
+perfbench (``BENCHMARK.json``) gates the end-to-end paths a user sees.
+This tool guards only the search micro-metrics perfbench does not
+measure: incremental greedy on ``qsdpcm``, batched frontier scoring
+and branch-and-bound nodes.  ``pytest -m bench`` writes the snapshot;
+compare a fresh one against the committed one::
 
     python benchmarks/compare.py old/BENCH_search.json \
-        benchmarks/out/BENCH_search.json \
-        --metric qsdpcm.incremental_ms \
-        --metric sweep_grid.warm_pool2_ms \
-        --metric frontier_scoring.batched_ms
+        benchmarks/out/BENCH_search.json
 
-Metrics are dot-paths into the JSON (``section.counter``).  A *named*
-metric that grew by more than the tolerance (default 25%) is a
-regression and the process exits nonzero; every other shared numeric
-leaf is reported informationally but never fails the run, because most
-counters (speedups, cache hits, node counts) are not
-smaller-is-better.  Named metrics must therefore be wall-clock-style
-values where growth is bad.
-
-Missing named metrics fail too — a metric that silently disappears
-from the snapshot is exactly the blind spot this guard exists for.
+A guarded metric is a dot-path to either a ``{median, p10, p90, n}``
+summary or a plain number, which serves as its own median and p90.
+It regresses when the new median is above the old p90 times (1 +
+tolerance) (default 25%), so noise inside the old run's own spread
+never fails.  A guarded metric missing from either snapshot fails
+too — a metric that silently disappears is exactly the blind spot this
+guard exists for.  Every other shared numeric leaf is reported
+informationally.
 
 When no ``--metric`` is passed, the guard set comes from
-:data:`DEFAULT_METRICS`, keyed by the candidate snapshot's basename —
-so ``python benchmarks/compare.py old/BENCH_serve.json
-benchmarks/out/BENCH_serve.json`` gates the latency floors without
-anyone having to remember the dot-paths.  An unknown basename with no
-explicit metrics still prints the informational diff but guards
-nothing (exit 0).
+:data:`DEFAULT_METRICS`, keyed by the candidate snapshot's basename;
+an unknown basename with no explicit metrics guards nothing (exit 0).
 """
 
 from __future__ import annotations
@@ -40,30 +33,11 @@ import sys
 DEFAULT_TOLERANCE = 0.25
 
 DEFAULT_METRICS: dict[str, list[str]] = {
-    # wall-clock-style metrics only: growth must mean "got slower"
+    # growth must mean "got slower" (or "searched more")
     "BENCH_search.json": [
         "qsdpcm.incremental_ms",
-        "sweep_grid.warm_pool2_ms",
         "frontier_scoring.batched_ms",
-    ],
-    "BENCH_service.json": ["warm_s"],
-    # hol_blocking_ratio is noise-floored to a deterministic 1.0 by
-    # the bench; growth means head-of-line blocking returned to the
-    # multiplexed transport (a fast request waited on a slow one)
-    "BENCH_serve.json": [
-        "latency.p50_ms",
-        "latency.p95_ms",
-        "multiplexed.hol_blocking_ratio",
-    ],
-    # duplicate_evaluations has a zero baseline: ANY growth is the
-    # fleet-dedup hole reopening, caught by the zero-baseline rule
-    "BENCH_fleet.json": ["duplicate_evaluations", "wall_s"],
-    # events_dropped has a zero baseline: the trace writer losing a
-    # single event fails the comparison outright
-    "BENCH_obs.json": [
-        "warm_grid.p50_on_ms",
-        "warm_grid.p50_off_ms",
-        "events_dropped",
+        "exhaustive_two_nest.bnb_nodes",
     ],
 }
 """Guarded dot-paths per snapshot basename, used when no ``--metric``
@@ -89,6 +63,20 @@ def flatten(record: dict, prefix: str = "") -> dict[str, float]:
     return flat
 
 
+def summary(record: dict, metric: str) -> tuple[float, float] | None:
+    """``(median, p90)`` of the dot-path *metric*, or None if absent."""
+    node = record
+    for part in metric.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    if isinstance(node, dict) and {"median", "p90"} <= node.keys():
+        return float(node["median"]), float(node["p90"])
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return float(node), float(node)
+    return None
+
+
 def compare(
     old: dict,
     new: dict,
@@ -97,45 +85,38 @@ def compare(
 ) -> tuple[list[str], list[str]]:
     """(report lines, failure lines) for *new* against *old*.
 
-    *metrics* are the guarded dot-paths: growth beyond *tolerance*
-    (relative, against the old value) is a failure, as is absence from
+    *metrics* are the guarded dot-paths: a new median above the old
+    p90 times (1 + *tolerance*) is a failure, as is absence from
     either snapshot.
     """
-    old_flat, new_flat = flatten(old), flatten(new)
     lines: list[str] = []
     failures: list[str] = []
-
     for metric in metrics:
-        if metric not in old_flat or metric not in new_flat:
-            side = "old" if metric not in old_flat else "new"
+        before, after = summary(old, metric), summary(new, metric)
+        if before is None or after is None:
+            side = "old" if before is None else "new"
             failures.append(f"{metric}: missing from {side} snapshot")
             continue
-        before, after = old_flat[metric], new_flat[metric]
-        ratio = after / before if before else float("inf")
-        delta = f"{(ratio - 1):+.1%}" if before else "n/a"
+        (old_median, old_p90), (new_median, _new_p90) = before, after
+        delta = f"{new_median / old_p90 - 1:+.1%}" if old_p90 else "n/a"
         verdict = "ok"
-        if before and ratio > 1 + tolerance:
+        if new_median > old_p90 * (1 + tolerance):
             verdict = "REGRESSION"
             failures.append(
-                f"{metric}: {before:g} -> {after:g} ({delta}, "
-                f"tolerance +{tolerance:.0%})"
-            )
-        elif not before and after > 0:
-            # a zero baseline means "this must never happen" (e.g.
-            # duplicate evaluations); relative tolerance is meaningless
-            # there, so any growth at all fails
-            verdict = "REGRESSION"
-            failures.append(
-                f"{metric}: {before:g} -> {after:g} "
-                "(grew from a zero baseline)"
+                f"{metric}: median {new_median:g} is {delta} over the old "
+                f"p90 {old_p90:g} (tolerance +{tolerance:.0%})"
             )
         lines.append(
-            f"  [{verdict:>10}] {metric}: {before:g} -> {after:g} ({delta})"
+            f"  [{verdict:>10}] {metric}: median {old_median:g} -> "
+            f"{new_median:g} ({delta} over old p90 {old_p90:g})"
         )
 
-    guarded = set(metrics)
-    for path in sorted(old_flat.keys() & new_flat.keys() - guarded):
-        if path in guarded:
+    def guarded(path: str) -> bool:
+        return any(path == m or path.startswith(f"{m}.") for m in metrics)
+
+    old_flat, new_flat = flatten(old), flatten(new)
+    for path in sorted(old_flat.keys() & new_flat.keys()):
+        if guarded(path):
             continue
         before, after = old_flat[path], new_flat[path]
         delta = f"{(after / before - 1):+.1%}" if before else "n/a"
@@ -149,7 +130,7 @@ def compare(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Compare two BENCH_*.json snapshots for regressions."
+        description="Compare two BENCH_search.json snapshots for regressions."
     )
     parser.add_argument("old", type=pathlib.Path, help="baseline snapshot")
     parser.add_argument("new", type=pathlib.Path, help="candidate snapshot")
@@ -168,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=DEFAULT_TOLERANCE,
         metavar="FRAC",
-        help="allowed relative growth of guarded metrics (default 0.25)",
+        help="allowed growth of a new median over the old p90 (default 0.25)",
     )
     args = parser.parse_args(argv)
 

@@ -41,18 +41,8 @@ CORPUS = (
 )
 
 
-def test_greedy_vs_exhaustive(benchmark):
+def test_greedy_vs_exhaustive():
     platform = embedded_3layer()
-
-    benchmark.group = "assignment"
-    benchmark.pedantic(
-        lambda: GreedyAssigner(
-            AnalysisContext(make_window_program(), platform),
-            allow_home_moves=False,
-        ).run(),
-        rounds=3,
-        iterations=1,
-    )
 
     rows = []
     for factory in CORPUS:

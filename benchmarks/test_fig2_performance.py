@@ -27,13 +27,8 @@ from repro.core.mhla import Mhla
 from repro.core.scenarios import SCENARIO_ORDER
 
 
-def test_fig2_rows(suite_results, platform, benchmark):
-    """Benchmark one representative exploration; emit the full figure."""
-    program = build_app("motion_estimation")
-
-    benchmark.group = "fig2"
-    benchmark(lambda: Mhla(program, platform).explore())
-
+def test_fig2_rows(suite_results):
+    """Emit the full figure from the suite exploration."""
     results = [suite_results[name] for name in all_app_names()]
     # machine-readable artefacts for downstream plotting/regression
     from repro.analysis.export import results_to_csv, results_to_json
@@ -67,8 +62,8 @@ def test_fig2_rows(suite_results, platform, benchmark):
     assert near_ideal >= 6
 
 
-def test_fig2_te_step_cost(suite_results, platform, benchmark):
-    """Benchmark the TE step itself (Figure 1's greedy) on the suite."""
+def test_fig2_te_step_cost(suite_results, platform):
+    """The TE step itself (Figure 1's greedy) on a suite assignment."""
     from repro.core.context import AnalysisContext
     from repro.core.te import TimeExtensionEngine
 
@@ -76,12 +71,11 @@ def test_fig2_te_step_cost(suite_results, platform, benchmark):
     ctx = AnalysisContext(program, platform)
     assignment = suite_results["qsdpcm"].scenario("mhla").assignment
 
-    benchmark.group = "fig2"
-    te = benchmark(lambda: TimeExtensionEngine(ctx).run(assignment))
+    te = TimeExtensionEngine(ctx).run(assignment)
     assert te.decisions
 
 
-def test_fig2_te_at_small_l1(benchmark):
+def test_fig2_te_at_small_l1():
     """The paper's "up to 33%" TE boost at its "specific memory sizes".
 
     At a 1 KiB L1 the copies refill constantly and prefetching carries
@@ -92,13 +86,6 @@ def test_fig2_te_at_small_l1(benchmark):
     from repro.units import fmt_percent, kib
 
     small = embedded_3layer(l1_bytes=kib(1))
-
-    benchmark.group = "fig2"
-    benchmark.pedantic(
-        lambda: Mhla(build_app("cavity"), small).explore(),
-        rounds=1,
-        iterations=1,
-    )
 
     lines = []
     best = 0.0

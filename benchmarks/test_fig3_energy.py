@@ -26,14 +26,13 @@ from repro.core.context import AnalysisContext
 from repro.units import fmt_energy_nj, fmt_percent
 
 
-def test_fig3_rows(suite_results, benchmark):
-    """Benchmark the energy-objective assignment; emit the figure rows."""
+def test_fig3_rows(suite_results):
+    """Run the energy-objective assignment; emit the figure rows."""
     from repro.memory.presets import embedded_3layer
 
     ctx = AnalysisContext(build_app("wavelet"), embedded_3layer())
 
-    benchmark.group = "fig3"
-    benchmark(lambda: GreedyAssigner(ctx, objective=Objective.ENERGY).run())
+    GreedyAssigner(ctx, objective=Objective.ENERGY).run()
 
     headers = ["app", "oob", "mhla", "mhla_te", "reduction"]
     rows = []

@@ -7,9 +7,8 @@ sibling that lost the claim polls for the winner's result instead of
 re-evaluating.  This benchmark starts three *real* server processes
 over one directory, submits the same 9-cell grid to every server
 concurrently, and asserts the fleet evaluated each unique cell exactly
-once — ``duplicate_evaluations`` lands in
-``benchmarks/out/BENCH_fleet.json`` with a zero baseline guarded by
-``benchmarks/compare.py``.
+once.  perfbench's ``fleet_grid`` workload measures the fleet's wall
+time and ``fleet.duplicate_evaluations``.
 
 The ``-m stress`` soak additionally SIGKILLs one server mid-batch and
 shows the survivors taking over its expired/dead-pid leases: every
@@ -18,7 +17,6 @@ cell still resolves, still without fleet-wide duplicates.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import re
@@ -30,7 +28,6 @@ import time
 
 import pytest
 
-from benchmarks.conftest import OUT_DIR, write_artifact
 from repro.service import ServiceClient
 
 SERVERS = 3
@@ -104,12 +101,10 @@ def test_fleet_evaluates_each_cell_exactly_once(tmp_path):
             threading.Thread(target=_batch, args=(address, slot))
             for (_proc, address), slot in zip(fleet, slots)
         ]
-        started = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=WALL_BUDGET_S)
-        wall_s = time.perf_counter() - started
         assert all(not thread.is_alive() for thread in threads)
 
         # every server answered every cell...
@@ -121,42 +116,12 @@ def test_fleet_evaluates_each_cell_exactly_once(tmp_path):
         # ...but the fleet evaluated each unique cell exactly once
         stats = [_stats(address) for _proc, address in fleet]
         evaluated = sum(s["evaluated"] for s in stats)
-        duplicates = evaluated - len(GRID)
-        claims_won = sum(s["claims_won"] for s in stats)
-        claims_yielded = sum(s["claims_yielded"] for s in stats)
-        claims_reclaimed = sum(s["claims_reclaimed"] for s in stats)
         assert evaluated == len(GRID), (
             f"fleet evaluated {evaluated} cells for {len(GRID)} unique "
             f"keys — the cross-server dedup hole is open"
         )
-        assert claims_won == len(GRID)
+        assert sum(s["claims_won"] for s in stats) == len(GRID)
         assert sum(s["failed"] for s in stats) == 0
-
-        record = {
-            "servers": SERVERS,
-            "grid_cells": len(GRID),
-            "submitted_fleet_wide": sum(s["submitted"] for s in stats),
-            "evaluated_fleet_wide": evaluated,
-            "duplicate_evaluations": duplicates,
-            "claims_won": claims_won,
-            "claims_yielded": claims_yielded,
-            "claims_reclaimed": claims_reclaimed,
-            "wall_s": wall_s,
-        }
-        OUT_DIR.mkdir(exist_ok=True)
-        (OUT_DIR / "BENCH_fleet.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
-        write_artifact(
-            "PERF-FLEET.txt",
-            (
-                f"{SERVERS} servers x {len(GRID)} duplicated cells: "
-                f"{evaluated} evaluations fleet-wide "
-                f"({duplicates} duplicates) in {wall_s:.3f}s\n"
-                f"claims: {claims_won} won, {claims_yielded} yielded, "
-                f"{claims_reclaimed} reclaimed"
-            ),
-        )
     finally:
         exit_codes = [_drain(proc) for proc, _address in fleet]
     assert exit_codes == [0] * SERVERS

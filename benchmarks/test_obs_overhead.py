@@ -1,37 +1,34 @@
 """PERF-OBS — the observability layer must be close to free.
 
 Instrumentation that taxes the serving path gets turned off in
-production, at which point the next incident is debugged blind.  This
-bench measures the *enabled* cost where it matters most: the warm
-path, where a 9-cell grid is answered entirely from the result store
-and the telemetry (typed counter increments, span events appended to
-a shared trace log) is the bulk of the non-cache work.
+production, at which point the next incident is debugged blind.  The
+warm path is where the cost shows: a 9-cell grid answered entirely
+from the result store, where the telemetry (typed counter increments,
+span events appended to a shared trace log) is the bulk of the
+non-cache work.
 
-Protocol: one cold evaluation warms the cache, then ``ROUNDS``
-telemetry-off and telemetry-on warm runs are *interleaved* (off, on,
-off, on, ...) and the overhead is the **median of the paired
-per-round deltas** — each on-run is compared against the off-run
-right next to it, so CPU-frequency drift and scheduler noise cancel
-instead of inflating one population.  The numbers go to
-``benchmarks/out/BENCH_obs.json`` together with the dropped-event
-counter, and the run asserts:
+Tier-1 runs one untimed warm pass with tracing on and asserts it
+stayed on the cache, wrote trace events and dropped none.
 
-* paired p50 overhead of telemetry-on < 5% of the off p50 (plus a
-  small absolute epsilon — a warm grid is single-digit milliseconds,
-  where one scheduler tick would otherwise dominate a relative
-  bound);
-* ``events_dropped`` == 0 — the trace writer never lost an event.
-  The committed snapshot keeps this at a zero baseline, so
-  ``compare.py``'s zero-baseline rule flags ANY future drop.
+``pytest -m bench`` measures the enabled cost: after one cold
+evaluation warms the cache, ``ROUNDS`` telemetry-off and telemetry-on
+warm runs are *interleaved* (off, on, off, on, ...) and the overhead
+is the **median of the paired per-round deltas** — each on-run is
+compared against the off-run right next to it, so CPU-frequency drift
+and scheduler noise cancel instead of inflating one population.  The
+paired overhead must stay under 5% of the off p50 (plus a small
+absolute epsilon — a warm grid is single-digit milliseconds, where
+one scheduler tick would otherwise dominate a relative bound).
+perfbench's ``trace.overhead_pct`` measures the same cost end to end.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 
-from benchmarks.conftest import OUT_DIR
+import pytest
+
 from repro.obs import trace as obs_trace
 from repro.service import ExplorationService, ResultStore
 from repro.service.rpc import cell_from_params
@@ -58,27 +55,34 @@ def warm_run_ms(service: ExplorationService) -> float:
     return elapsed_ms
 
 
-def test_warm_grid_telemetry_overhead(tmp_path):
-    cache = tmp_path / "cache"
+def _tracing(trace_path) -> None:
+    obs_trace.configure(trace_log=trace_path, slow_ms=10_000.0)
+
+
+def _warm_grid_traced(tmp_path, rounds: int):
+    """Cold-fill the grid, then *rounds* interleaved off/on warm runs.
+
+    Asserts every warm run was a pure cache hit and the trace writer
+    wrote events without dropping any; returns ``(off_ms, on_ms)``.
+    """
     trace_path = tmp_path / "trace.jsonl"
-    service = ExplorationService(store=ResultStore(cache))
+    service = ExplorationService(store=ResultStore(tmp_path / "cache"))
     dropped_before = obs_trace.events_dropped()
 
     obs_trace.configure(trace_log=None)
     service.run(GRID)  # cold: fill the cache once
     assert service.stats.evaluated == len(GRID)
-    # one throwaway warm round per mode before timing anything
-    warm_run_ms(service)
-    obs_trace.configure(trace_log=trace_path, slow_ms=10_000.0)
-    warm_run_ms(service)
-
     off_ms: list[float] = []
     on_ms: list[float] = []
     try:
-        for _ in range(ROUNDS):
+        # one throwaway warm round per mode before timing anything
+        warm_run_ms(service)
+        _tracing(trace_path)
+        warm_run_ms(service)
+        for _ in range(rounds):
             obs_trace.configure(trace_log=None)
             off_ms.append(warm_run_ms(service))
-            obs_trace.configure(trace_log=trace_path, slow_ms=10_000.0)
+            _tracing(trace_path)
             on_ms.append(warm_run_ms(service))
     finally:
         obs_trace.configure(trace_log=None)
@@ -86,42 +90,23 @@ def test_warm_grid_telemetry_overhead(tmp_path):
     # every warm round after the cold fill was pure cache hits
     assert service.stats.evaluated == len(GRID)
     with open(trace_path, encoding="utf-8") as handle:
-        trace_events = sum(1 for line in handle if line.strip())
-    assert trace_events > 0
-    events_dropped = obs_trace.events_dropped() - dropped_before
+        assert sum(1 for line in handle if line.strip()) > 0
+    assert obs_trace.events_dropped() == dropped_before
+    return off_ms, on_ms
 
+
+def test_warm_grid_telemetry_overhead(tmp_path):
+    _warm_grid_traced(tmp_path, rounds=0)
+
+
+@pytest.mark.bench
+def test_warm_grid_telemetry_overhead_bench(tmp_path):
+    off_ms, on_ms = _warm_grid_traced(tmp_path, rounds=ROUNDS)
     p50_off = statistics.median(off_ms)
-    p50_on = statistics.median(on_ms)
     # paired comparison: each on-run against its adjacent off-run, so
     # machine-wide drift hits both sides of every delta equally
-    overhead_ms = statistics.median(
-        on - off for on, off in zip(on_ms, off_ms)
-    )
+    overhead_ms = statistics.median(on - off for on, off in zip(on_ms, off_ms))
     overhead_pct = overhead_ms / p50_off * 100.0 if p50_off else 0.0
-
-    record = {
-        "rounds": ROUNDS,
-        "grid_cells": len(GRID),
-        "warm_grid": {
-            "p50_off_ms": round(p50_off, 3),
-            "p50_on_ms": round(p50_on, 3),
-            "p95_off_ms": round(
-                statistics.quantiles(off_ms, n=20)[-1], 3
-            ),
-            "p95_on_ms": round(statistics.quantiles(on_ms, n=20)[-1], 3),
-            "paired_p50_overhead_ms": round(overhead_ms, 3),
-            "overhead_pct": round(overhead_pct, 2),
-        },
-        "trace_events": trace_events,
-        "events_dropped": events_dropped,
-    }
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "BENCH_obs.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
-    print(f"\n===== BENCH_obs.json =====\n{json.dumps(record, indent=2)}")
-
-    assert events_dropped == 0
     assert overhead_ms <= max(p50_off * 0.05, EPSILON_MS), (
         f"telemetry adds {overhead_ms:.3f}ms to a warm grid "
         f"(+{overhead_pct:.1f}% of the {p50_off:.3f}ms off p50)"

@@ -1,33 +1,27 @@
-"""PERF-SERVE — socket-transport performance of the exploration server.
+"""PERF-SERVE — socket-transport behaviour of the exploration server.
 
 ``repro serve --listen`` turns the memoized exploration service into a
 shared network daemon; its value is only real if serving a warm cache
-over the socket is cheap *and* a slow request cannot stall fast ones.
-Three benchmarks write (merge-update) sections of
-``benchmarks/out/BENCH_serve.json``, guarded by
-``benchmarks/compare.py``:
+over the socket stays on the cache *and* a slow request cannot stall
+fast ones.  Tier-1 asserts the invariants, untimed:
 
-* **warm grid** (top level) — the 9-cell grid evaluated once, then
-  hammered by concurrent tenants re-reading it; requests/s and p50/p95
-  request latency.  The warm phase must be 100% cache hits or the
-  numbers measure the evaluator, not the transport.
-* **``multiplexed``** — the head-of-line-blocking proof: mixed
-  connections pipeline a *slow* ``batch`` ahead of a fast ``stats`` on
-  the same socket, clean connections send only fast requests, and
-  ``hol_blocking_ratio`` compares the two fast-request populations.
-  On the multiplexed async transport the ratio is 1.0 (fast responses
-  overtake the parked batch); a transport that serialized a
-  connection's requests would make each fast request ride out the full
-  batch.  Ratios use noise-floored p50s (``NOISE_FLOOR_MS``):
-  scheduler jitter must not move a metric whose failure mode is a
-  multiple-of-5 explosion.
-* **``soak``** (``-m stress``, excluded from tier-1) — ≥1000 live
-  connections against one async server, mixed slow/fast, recording
-  ``max_connections`` actually held and the fast-request percentiles
-  at that scale.
+* **warm grid** — the 9-cell grid evaluated once, then re-read by
+  concurrent tenants: every request answered, the warm phase is 100%
+  cache hits, and admission never rejects.
+* **head-of-line blocking** — mixed connections pipeline a *slow*
+  ``batch`` (id 1) ahead of a fast ``stats`` (id 2) on the same
+  socket, clean connections send only fast requests.  On the
+  multiplexed async transport every mixed connection receives the
+  ``stats`` response before the ``batch`` one; a transport that
+  answered a connection's requests in order would make each fast
+  request ride out the full batch.  The order does not depend on host
+  load; the latencies do.
 
-Each test rewrites only its own section, so a stress-less run
-preserves the committed soak numbers instead of erasing them.
+``pytest -m bench`` adds the wall-clock bounds (the warm phase inside
+``WALL_BUDGET_S``, the median fast-behind-slow request well under
+``SLOW_S``).  perfbench's ``warm_serve`` workload measures warm-serve
+latency and throughput with medians over repeated trials.  The
+``-m stress`` soak holds >= 1000 live connections.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ import time
 
 import pytest
 
-from benchmarks.conftest import OUT_DIR, write_artifact
 from repro.analysis.sweep import ParallelSweepRunner
 from repro.service import (
     AsyncExplorationServer,
@@ -67,67 +60,36 @@ GRID = [
 SLOW_S = 0.5
 """Artificial evaluation time of a "slow" batch in the HOL benches."""
 
-NOISE_FLOOR_MS = SLOW_S * 1e3 / 5
-"""p50s are floored to this (a fifth of the slow-request time) before
-ratioing.  Head-of-line blocking costs a fast request the full
-``SLOW_S`` = 500 ms, so anything under 100 ms is scheduler/executor
-jitter, not blocking: flooring pins healthy runs at a deterministic
-ratio of 1.0 while a real regression still explodes the ratio ~5x+,
-which keeps ``compare.py``'s 25% tolerance meaningful."""
-
-
-def merge_bench_record(update: dict, section: str | None = None) -> dict:
-    """Merge *update* into ``BENCH_serve.json``, keeping other sections."""
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / "BENCH_serve.json"
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    if section is None:
-        data.update(update)
-    else:
-        data[section] = update
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return data
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    return sorted_values[int(fraction * (len(sorted_values) - 1))]
-
 
 # ----------------------------------------------------------------------
-# warm grid throughput (top-level section)
+# warm grid
 # ----------------------------------------------------------------------
 
 
-def _warm_tenant(address, keys, latencies_ms):
+def _warm_tenant(address, keys, statuses):
     with ServiceClient(address, timeout=60.0) as client:
         for _round in range(ROUNDS):
             for key in keys:
-                started = time.perf_counter()
-                response = client.call("result", {"key": key})
-                latencies_ms.append((time.perf_counter() - started) * 1e3)
-                assert response["status"] == "done"
+                statuses.append(client.call("result", {"key": key})["status"])
 
 
-def test_serve_throughput_warm_grid(tmp_path):
-    service = ExplorationService(store=ResultStore(tmp_path / "cache"))
+def _warm_grid(cache_dir) -> float:
+    """Cold-fill the grid, re-read it from CLIENTS tenants; returns the
+    warm phase's wall seconds after asserting its invariants."""
+    service = ExplorationService(store=ResultStore(cache_dir))
     server = AsyncExplorationServer(service, listen=("127.0.0.1", 0))
     server.start()
     try:
         # cold fill: one tenant evaluates the whole grid over the socket
-        started = time.perf_counter()
         with ServiceClient(server.address, timeout=300.0) as client:
             batch = client.call("batch", {"cells": GRID})
-        cold_s = time.perf_counter() - started
         assert [row["status"] for row in batch["outcomes"]] == ["done"] * len(GRID)
         evaluated_cold = service.stats.evaluated
         assert evaluated_cold == len(GRID)
 
         # warm phase: concurrent tenants re-read the grid
         keys = [cell_key(cell_from_params(cell)) for cell in GRID]
-        per_client: list[list[float]] = [[] for _ in range(CLIENTS)]
+        per_client: list[list[str]] = [[] for _ in range(CLIENTS)]
         threads = [
             threading.Thread(
                 target=_warm_tenant,
@@ -143,56 +105,26 @@ def test_serve_throughput_warm_grid(tmp_path):
         warm_s = time.perf_counter() - started
         assert all(not thread.is_alive() for thread in threads)
 
-        latencies = sorted(value for bucket in per_client for value in bucket)
-        requests = CLIENTS * ROUNDS * len(GRID)
-        assert len(latencies) == requests
-        assert warm_s < WALL_BUDGET_S
-
+        statuses = [status for bucket in per_client for status in bucket]
+        assert statuses == ["done"] * (CLIENTS * ROUNDS * len(GRID))
         # the whole warm phase must be served from the cache
         assert service.stats.evaluated == evaluated_cold, (
             "warm reads re-evaluated cells; the bench measured the "
             "evaluator instead of the socket transport"
         )
-        warm_hit_rate = 1.0
-        server_stats = server.stats()
-        assert server_stats["rejected_busy"] == 0
-
-        record = {
-            "transport": "async",
-            "grid_cells": len(GRID),
-            "clients": CLIENTS,
-            "rounds": ROUNDS,
-            "requests": requests,
-            "cold_fill_s": cold_s,
-            "warm_wall_s": warm_s,
-            "requests_per_s": requests / warm_s,
-            "latency": {
-                "p50_ms": statistics.median(latencies),
-                "p95_ms": _percentile(latencies, 0.95),
-                "max_ms": latencies[-1],
-            },
-            "warm_hit_rate": warm_hit_rate,
-            "server": {
-                "connections_total": server_stats["connections_total"],
-                "requests_total": server_stats["requests_total"],
-                "rejected_busy": server_stats["rejected_busy"],
-            },
-        }
-        merge_bench_record(record)
-        write_artifact(
-            "PERF-SERVE.txt",
-            (
-                f"cold fill ({len(GRID)} cells over TCP):   {cold_s:.3f}s\n"
-                f"warm phase ({CLIENTS} tenants x {ROUNDS} rounds, "
-                f"{requests} requests): {warm_s:.3f}s\n"
-                f"throughput: {requests / warm_s:,.0f} req/s, "
-                f"p50 {record['latency']['p50_ms']:.2f}ms, "
-                f"p95 {record['latency']['p95_ms']:.2f}ms, "
-                f"warm hit rate {warm_hit_rate:.0%}"
-            ),
-        )
+        assert server.stats()["rejected_busy"] == 0
+        return warm_s
     finally:
         assert server.drain(timeout=30.0)
+
+
+def test_serve_throughput_warm_grid(tmp_path):
+    _warm_grid(tmp_path / "cache")
+
+
+@pytest.mark.bench
+def test_serve_throughput_warm_grid_bench(tmp_path):
+    assert _warm_grid(tmp_path / "cache") < WALL_BUDGET_S
 
 
 # ----------------------------------------------------------------------
@@ -235,41 +167,43 @@ def _rpc_line(request_id: int, method: str, params: dict | None = None) -> bytes
     return (json.dumps(request, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-async def _mixed_load(reader, writer, index, fast_ms):
-    """Pipeline a slow batch ahead of a fast stats on ONE socket."""
+async def _mixed_load(reader, writer, index, fast_ms, orders):
+    """Pipeline a slow batch (id 1) ahead of a fast stats (id 2) on ONE
+    socket; records the fast latency and the response order."""
     slow = _rpc_line(1, "batch", {"cells": [slow_cell(index)]})
     fast = _rpc_line(2, "stats")
     started = time.perf_counter()
     writer.write(slow + fast)
     await writer.drain()
-    seen = set()
-    while len(seen) < 2:
+    order = []
+    while len(order) < 2:
         response = json.loads(await reader.readline())
+        assert "result" in response
         if response["id"] == 2:
             fast_ms.append((time.perf_counter() - started) * 1e3)
-            assert "result" in response
-        seen.add(response["id"])
+        order.append(response["id"])
+    orders.append(order)
 
 
-async def _clean_load(reader, writer, rounds, clean_ms):
-    """Only fast requests: the baseline population for the ratio."""
+async def _clean_load(reader, writer, rounds, clean_ids):
+    """Only fast requests, each answered before the next is sent."""
     for round_index in range(rounds):
-        started = time.perf_counter()
         writer.write(_rpc_line(round_index + 1, "stats"))
         await writer.drain()
         response = json.loads(await reader.readline())
         assert "result" in response
-        clean_ms.append((time.perf_counter() - started) * 1e3)
+        clean_ids.append(response["id"])
 
 
 async def _drive_hol(server, n_mixed, n_clean, clean_rounds):
     """Open every connection FIRST, then fire mixed + clean together.
 
-    Returns ``(fast_ms, clean_ms, max_connections)`` — the fast-request
-    latencies on mixed (slow-ahead) connections, on clean connections,
-    and the peak connection count the server actually held.  Holding
-    every connection open before the first request makes the gauge
-    honest: the server really multiplexes them all at once.
+    Returns ``(fast_ms, orders, clean_ids, max_connections)`` — the
+    fast-request latencies and response-id orders on mixed
+    (slow-ahead) connections, the ids answered on clean connections,
+    and the peak connection count the server actually held.  Holding every
+    connection open before the first request makes the gauge honest:
+    the server really multiplexes them all at once.
     """
     host, port = server.address
     total = n_mixed + n_clean
@@ -288,31 +222,29 @@ async def _drive_hol(server, n_mixed, n_clean, clean_rounds):
             await asyncio.sleep(0.01)
         max_connections = server.stats()["connections_active"]
         fast_ms: list[float] = []
-        clean_ms: list[float] = []
+        orders: list[list[int]] = []
+        clean_ids: list[int] = []
         await asyncio.gather(
             *(
-                _mixed_load(*conns[index], index, fast_ms)
+                _mixed_load(*conns[index], index, fast_ms, orders)
                 for index in range(n_mixed)
             ),
             *(
-                _clean_load(*conns[n_mixed + index], clean_rounds, clean_ms)
+                _clean_load(*conns[n_mixed + index], clean_rounds, clean_ids)
                 for index in range(n_clean)
             ),
         )
-        return fast_ms, clean_ms, max_connections
+        return fast_ms, orders, clean_ids, max_connections
     finally:
         for _reader, writer in conns:
             writer.close()
 
 
-def _hol_ratio(fast_ms: list[float], clean_ms: list[float]) -> float:
-    """Noise-floored p50 ratio of mixed-fast over clean-fast requests."""
-    mixed_p50 = max(statistics.median(fast_ms), NOISE_FLOOR_MS)
-    clean_p50 = max(statistics.median(clean_ms), NOISE_FLOOR_MS)
-    return mixed_p50 / clean_p50
-
-
 def _run_hol(cache_dir, n_mixed, n_clean, clean_rounds):
+    """Drive the HOL load and assert its invariants: every request
+    answered, none rejected, and on every mixed connection the fast
+    ``stats`` (id 2) answered before the slow ``batch`` (id 1).
+    Returns ``(fast_ms, max_connections)``."""
     server = AsyncExplorationServer(
         ExplorationService(
             store=ResultStore(cache_dir), runner=SleepRunner(SLOW_S)
@@ -323,66 +255,46 @@ def _run_hol(cache_dir, n_mixed, n_clean, clean_rounds):
     )
     server.start()
     try:
-        fast_ms, clean_ms, max_connections = asyncio.run(
+        fast_ms, orders, clean_ids, max_connections = asyncio.run(
             _drive_hol(server, n_mixed, n_clean, clean_rounds)
         )
-        stats = server.stats()
-        assert stats["rejected_busy"] == 0
-        return fast_ms, clean_ms, max_connections
+        assert server.stats()["rejected_busy"] == 0
     finally:
         assert server.drain(timeout=60.0)
+    assert len(fast_ms) == n_mixed
+    assert len(clean_ids) == n_clean * clean_rounds
+    # the hard claim: a parked slow batch never holds back a fast
+    # request pipelined behind it on the same connection
+    assert orders == [[2, 1]] * n_mixed, (
+        "fast requests waited on slow batches: head-of-line blocking "
+        "is back in the async transport"
+    )
+    return fast_ms, max_connections
+
+
+HOL_LOAD = (48, 152, 3)
+"""48 connections each pipeline a ~500 ms ``batch`` ahead of a
+``stats``; 152 clean connections send 3 ``stats`` each."""
 
 
 def test_serve_hol_blocking_multiplexed(tmp_path):
-    """Fast requests behind slow ones: the head-of-line-blocking fix.
+    """Fast requests behind slow ones: the head-of-line-blocking fix."""
+    _run_hol(tmp_path / "async", *HOL_LOAD)
 
-    48 connections each pipeline a ~500 ms ``batch`` ahead of a
-    ``stats``; 152 clean connections send only ``stats``.  On the
-    async transport the mixed fast requests must look like the clean
-    ones (ratio ~1).
-    """
-    n_mixed, n_clean, clean_rounds = 48, 152, 3
-    fast_ms, clean_ms, max_connections = _run_hol(
-        tmp_path / "async", n_mixed, n_clean, clean_rounds
-    )
-    assert len(fast_ms) == n_mixed
-    assert len(clean_ms) == n_clean * clean_rounds
-    ratio = _hol_ratio(fast_ms, clean_ms)
-    # the hard claim: a parked slow batch adds (nearly) nothing to a
-    # pipelined fast request — far below the SLOW_S it used to cost
+
+@pytest.mark.bench
+def test_serve_hol_blocking_multiplexed_bench(tmp_path):
+    fast_ms, _max_connections = _run_hol(tmp_path / "async", *HOL_LOAD)
+    # a parked slow batch adds (nearly) nothing to a pipelined fast
+    # request — far below the SLOW_S it used to cost
     assert statistics.median(fast_ms) < SLOW_S * 1e3 / 4, (
         "fast requests waited on slow batches: head-of-line blocking "
         "is back in the async transport"
     )
 
-    sorted_fast = sorted(fast_ms)
-    sorted_clean = sorted(clean_ms)
-    record = {
-        "mixed_connections": n_mixed,
-        "clean_connections": n_clean,
-        "max_connections": max_connections,
-        "slow_request_s": SLOW_S,
-        "fast_p50_ms": statistics.median(fast_ms),
-        "fast_p95_ms": _percentile(sorted_fast, 0.95),
-        "clean_p50_ms": statistics.median(clean_ms),
-        "clean_p95_ms": _percentile(sorted_clean, 0.95),
-        "hol_blocking_ratio": ratio,
-    }
-    merge_bench_record(record, section="multiplexed")
-    write_artifact(
-        "PERF-SERVE-HOL.txt",
-        (
-            f"async:   {n_mixed} slow-ahead conns + {n_clean} clean conns, "
-            f"{max_connections} held at peak\n"
-            f"  fast-behind-slow p50 {record['fast_p50_ms']:.2f}ms / "
-            f"clean p50 {record['clean_p50_ms']:.2f}ms -> "
-            f"hol_blocking_ratio {ratio:.2f}"
-        ),
-    )
-
 
 # ----------------------------------------------------------------------
-# ≥1000-connection soak (stress tier; the `soak` section)
+# ≥1000-connection soak (stress tier)
 # ----------------------------------------------------------------------
 
 
@@ -410,40 +322,14 @@ def test_serve_soak_1000_connections(tmp_path):
     n_mixed, n_clean, clean_rounds = 16, 1024, 3
     if not _raise_fd_limit(2 * (n_mixed + n_clean) + 256):
         pytest.skip("cannot raise RLIMIT_NOFILE high enough for the soak")
-    fast_ms, clean_ms, max_connections = _run_hol(
+    fast_ms, max_connections = _run_hol(
         tmp_path / "cache", n_mixed, n_clean, clean_rounds
     )
     assert max_connections >= 1000, (
         f"soak never held 1000 connections at once (peak {max_connections})"
     )
-    assert len(clean_ms) == n_clean * clean_rounds
-    ratio = _hol_ratio(fast_ms, clean_ms)
     # even at 1000+ connections a parked batch stalls nobody
     assert statistics.median(fast_ms) < SLOW_S * 1e3 / 4
-
-    sorted_fast = sorted(fast_ms)
-    sorted_clean = sorted(clean_ms)
-    record = {
-        "connections": n_mixed + n_clean,
-        "max_connections": max_connections,
-        "requests": len(fast_ms) + len(clean_ms) + n_mixed,
-        "fast_p50_ms": statistics.median(fast_ms),
-        "fast_p95_ms": _percentile(sorted_fast, 0.95),
-        "clean_p50_ms": statistics.median(clean_ms),
-        "clean_p95_ms": _percentile(sorted_clean, 0.95),
-        "hol_blocking_ratio": ratio,
-    }
-    merge_bench_record(record, section="soak")
-    write_artifact(
-        "PERF-SERVE-SOAK.txt",
-        (
-            f"{n_mixed + n_clean} connections ({max_connections} held at "
-            f"peak), {record['requests']} requests\n"
-            f"fast-behind-slow p50 {record['fast_p50_ms']:.2f}ms / "
-            f"clean p50 {record['clean_p50_ms']:.2f}ms -> "
-            f"hol_blocking_ratio {ratio:.2f}"
-        ),
-    )
 
 
 CLIENT_SOAK_SCRIPT = """

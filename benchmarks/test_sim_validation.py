@@ -2,8 +2,7 @@
 
 The analytical model drives the search; the simulator replays the
 chosen schedule with a serial, priority-arbitrated DMA engine.  This
-bench reports per-application agreement (and benchmarks simulator
-throughput).
+bench reports per-application agreement.
 
 Shape assertions:
 
@@ -25,16 +24,7 @@ from repro.sim.stats import relative_error
 from repro.units import fmt_cycles
 
 
-def test_sim_agreement(suite_results, platform, benchmark):
-    benchmark.group = "simulation"
-
-    tool = Mhla(build_app("motion_estimation"), platform)
-    me_result = suite_results["motion_estimation"]
-    me_scenario = me_result.scenario("mhla_te")
-    benchmark(
-        lambda: simulate(tool.ctx, me_scenario.assignment, me_scenario.te)
-    )
-
+def test_sim_agreement(suite_results, platform):
     rows = []
     for name in all_app_names():
         result = suite_results[name]

@@ -81,14 +81,9 @@ def ablate(name: str, platform) -> dict[str, float]:
     return cycles
 
 
-def test_te_sort_factor_ablation(benchmark):
+def test_te_sort_factor_ablation():
     # A cramped L1 makes double-buffer space scarce: greedy order matters.
     platform = embedded_3layer(l1_bytes=kib(2))
-
-    benchmark.group = "ablation"
-    benchmark.pedantic(
-        lambda: ablate("mpeg4_mc", platform), rounds=1, iterations=1
-    )
 
     rows = []
     for name in all_app_names():

@@ -27,7 +27,7 @@ from repro.apps import build_app
 from repro.core.tradeoff import sweep_layer_sizes
 from repro.units import fmt_bytes, kib
 
-SWEEP_APPS = ("motion_estimation", "wavelet", "filterbank")
+SWEEP_APPS = ("wavelet", "filterbank", "motion_estimation")
 SIZES = tuple(kib(s) for s in (0.5, 1, 2, 4, 8, 16, 32, 64))
 
 
@@ -35,15 +35,8 @@ def run_sweep(name):
     return sweep_layer_sizes(build_app(name), sizes_bytes=SIZES)
 
 
-def test_tradeoff_sweeps(benchmark):
-    benchmark.group = "tradeoff"
-    points_by_app = {}
-    for name in SWEEP_APPS[1:]:
-        points_by_app[name] = run_sweep(name)
-    # benchmark one sweep (the others already ran once above)
-    points_by_app[SWEEP_APPS[0]] = benchmark.pedantic(
-        lambda: run_sweep(SWEEP_APPS[0]), rounds=1, iterations=1
-    )
+def test_tradeoff_sweeps():
+    points_by_app = {name: run_sweep(name) for name in SWEEP_APPS}
 
     sections = []
     for name, points in points_by_app.items():

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.compare import compare, flatten, main
+from benchmarks.compare import compare, flatten, main, summary
 
 OLD = {
     "qsdpcm": {"incremental_ms": 10.0, "speedup": 25.0},
@@ -74,18 +74,48 @@ class TestCompare:
         assert failures
 
     def test_zero_baseline_growth_fails(self):
-        # 0 -> anything is a regression: relative tolerance would let
-        # a "must never happen" counter (duplicate evaluations) slip
-        old = {"duplicate_evaluations": 0}
-        new = {"duplicate_evaluations": 3}
-        _, failures = compare(old, new, ["duplicate_evaluations"])
+        # a zero old p90 leaves no headroom: any growth at all fails
+        old = {"bnb_nodes": 0}
+        new = {"bnb_nodes": 3}
+        _, failures = compare(old, new, ["bnb_nodes"])
         assert len(failures) == 1
-        assert "zero baseline" in failures[0]
+        assert "n/a" in failures[0]
 
     def test_zero_baseline_staying_zero_passes(self):
-        old = {"duplicate_evaluations": 0}
-        _, failures = compare(old, old, ["duplicate_evaluations"])
+        old = {"bnb_nodes": 0}
+        _, failures = compare(old, old, ["bnb_nodes"])
         assert not failures
+
+
+class TestP90Rule:
+    """A new median regresses only above the old p90 x (1 + tolerance)."""
+
+    OLD = {"batched_ms": {"median": 10.0, "p10": 9.0, "p90": 12.0, "n": 7}}
+
+    def _new(self, median):
+        return {"batched_ms": {"median": median, "p10": 1.0, "p90": 99.0, "n": 7}}
+
+    def test_median_just_above_old_p90_fails(self):
+        _, failures = compare(self.OLD, self._new(15.01), ["batched_ms"])
+        assert len(failures) == 1
+        assert "old p90 12" in failures[0]
+
+    def test_median_just_below_old_p90_passes(self):
+        # +49.9% over the old median, but inside the old spread + 25%
+        _, failures = compare(self.OLD, self._new(14.99), ["batched_ms"])
+        assert not failures
+
+    def test_plain_number_is_its_own_median_and_p90(self):
+        assert summary({"bnb_nodes": 400}, "bnb_nodes") == (400.0, 400.0)
+        old = {"bnb_nodes": 400}
+        _, failures = compare(old, {"bnb_nodes": 501}, ["bnb_nodes"])
+        assert failures
+        _, failures = compare(old, {"bnb_nodes": 500}, ["bnb_nodes"])
+        assert not failures
+
+    def test_missing_from_new_snapshot_fails(self):
+        _, failures = compare(self.OLD, {"other": 1.0}, ["batched_ms"])
+        assert failures == ["batched_ms: missing from new snapshot"]
 
 
 class TestMain:
@@ -124,18 +154,8 @@ class TestMain:
         )
         if not snapshot.exists():
             pytest.skip("no committed BENCH_search.json")
-        code = main(
-            [
-                str(snapshot),
-                str(snapshot),
-                "--metric",
-                "qsdpcm.incremental_ms",
-                "--metric",
-                "sweep_grid.warm_pool2_ms",
-                "--metric",
-                "frontier_scoring.batched_ms",
-            ]
-        )
+        code = main([str(snapshot), str(snapshot)])
+        assert "registry defaults" in capsys.readouterr().out
         assert code == 0
 
 
@@ -143,20 +163,12 @@ class TestDefaultMetricsRegistry:
     def test_known_basenames_have_guard_sets(self):
         from benchmarks.compare import DEFAULT_METRICS, default_metrics_for
 
-        for name in (
-            "BENCH_search.json",
-            "BENCH_service.json",
-            "BENCH_serve.json",
-            "BENCH_fleet.json",
-        ):
-            assert DEFAULT_METRICS[name], name
-            assert default_metrics_for(pathlib.Path("x") / name) == DEFAULT_METRICS[name]
-
-    def test_fleet_registry_guards_duplicates_and_latency(self):
-        from benchmarks.compare import DEFAULT_METRICS
-
-        assert "duplicate_evaluations" in DEFAULT_METRICS["BENCH_fleet.json"]
-        assert "wall_s" in DEFAULT_METRICS["BENCH_fleet.json"]
+        assert list(DEFAULT_METRICS) == ["BENCH_search.json"]
+        assert default_metrics_for(pathlib.Path("x") / "BENCH_search.json") == [
+            "qsdpcm.incremental_ms",
+            "frontier_scoring.batched_ms",
+            "exhaustive_two_nest.bnb_nodes",
+        ]
 
     def test_unknown_basename_guards_nothing(self):
         from benchmarks.compare import default_metrics_for
@@ -164,59 +176,39 @@ class TestDefaultMetricsRegistry:
         assert default_metrics_for(pathlib.Path("whatever.json")) == []
 
     def test_main_applies_registry_defaults(self, tmp_path, capsys):
-        old = {"latency": {"p50_ms": 1.0, "p95_ms": 2.0}, "requests_per_s": 1000.0}
-        new = {"latency": {"p50_ms": 2.0, "p95_ms": 2.0}, "requests_per_s": 1000.0}
+        old = {
+            "qsdpcm": {"incremental_ms": 10.0},
+            "frontier_scoring": {"batched_ms": 3.0},
+            "exhaustive_two_nest": {"bnb_nodes": 401},
+        }
+        new = json.loads(json.dumps(old))
+        new["qsdpcm"]["incremental_ms"] = 20.0
         (tmp_path / "old").mkdir()
         (tmp_path / "new").mkdir()
         code = main(
             [
-                _write(tmp_path / "old", "BENCH_serve.json", old),
-                _write(tmp_path / "new", "BENCH_serve.json", new),
+                _write(tmp_path / "old", "BENCH_search.json", old),
+                _write(tmp_path / "new", "BENCH_search.json", new),
             ]
         )
-        # p50 doubled: the registry default catches it with no --metric
+        # incremental_ms doubled: the registry default catches it
         assert code == 1
         captured = capsys.readouterr()
         assert "registry defaults" in captured.out
-        assert "latency.p50_ms" in captured.err
+        assert "qsdpcm.incremental_ms" in captured.err
 
     def test_explicit_metric_overrides_registry(self, tmp_path, capsys):
-        old = {"latency": {"p50_ms": 1.0, "p95_ms": 2.0}}
-        new = {"latency": {"p50_ms": 5.0, "p95_ms": 2.0}}
+        old = {"qsdpcm": {"incremental_ms": 10.0, "reference_ms": 200.0}}
+        new = {"qsdpcm": {"incremental_ms": 50.0, "reference_ms": 200.0}}
         (tmp_path / "old").mkdir()
         (tmp_path / "new").mkdir()
         code = main(
             [
-                _write(tmp_path / "old", "BENCH_serve.json", old),
-                _write(tmp_path / "new", "BENCH_serve.json", new),
+                _write(tmp_path / "old", "BENCH_search.json", old),
+                _write(tmp_path / "new", "BENCH_search.json", new),
                 "--metric",
-                "latency.p95_ms",
+                "qsdpcm.reference_ms",
             ]
         )
         assert code == 0  # only the named metric is guarded
         capsys.readouterr()
-
-    def test_committed_serve_snapshot_self_compares(self, capsys):
-        snapshot = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "out"
-            / "BENCH_serve.json"
-        )
-        if not snapshot.exists():
-            pytest.skip("no committed BENCH_serve.json")
-        assert main([str(snapshot), str(snapshot)]) == 0
-        assert "registry defaults" in capsys.readouterr().out
-
-    def test_committed_fleet_snapshot_self_compares(self, capsys):
-        snapshot = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "out"
-            / "BENCH_fleet.json"
-        )
-        if not snapshot.exists():
-            pytest.skip("no committed BENCH_fleet.json")
-        assert main([str(snapshot), str(snapshot)]) == 0
-        out = capsys.readouterr().out
-        assert "duplicate_evaluations" in out
