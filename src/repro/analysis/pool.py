@@ -10,8 +10,10 @@ the largest grids.
 :class:`PersistentPool` amortises that cost process-wide:
 
 * **one pool per process**, created on first parallel dispatch and
-  reused by every later sweep (and by the portfolio's parallel racing)
-  until interpreter exit — :func:`get_pool` is the singleton accessor;
+  reused by every later sweep until interpreter exit — :func:`get_pool`
+  is the singleton accessor and
+  :class:`~repro.analysis.sweep.ParallelSweepRunner` the package's one
+  caller of :meth:`PersistentPool.map_batched`;
 * the **spawn** start method, explicitly: the service runs a
   background flush thread, and forking a multi-threaded parent is
   undefined behaviour; spawn also behaves identically across

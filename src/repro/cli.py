@@ -6,9 +6,7 @@ Sub-commands mirror the experiments:
 * ``repro run APP``              — four scenarios for one application
 * ``repro search APP``           — race the metaheuristic assigner
   portfolio against the greedy engine on one application
-  (``--assigner NAME --budget N --search-seed S``; ``--jobs N`` races
-  portfolio members across worker processes with byte-identical
-  winner and attribution)
+  (``--assigner NAME --budget N --search-seed S``)
 * ``repro fig2``                 — Figure 2 (performance) for the suite
 * ``repro fig3``                 — Figure 3 (energy) for the suite
 * ``repro sweep APP``            — L1-size trade-off sweep (TAB-TRADEOFF)
@@ -52,7 +50,8 @@ Both sweep forms accept ``--jobs N`` to fan the independent
 explorations across the process-wide persistent worker pool (created
 on the first parallel sweep, reused by every later one in the same
 process); results are returned in deterministic order, so the output
-is identical to a serial run.
+is identical to a serial run.  ``repro run`` evaluates its one cell
+through the same executor, serially.
 
 ``repro run``, ``repro sweep``, ``repro fuzz`` and ``repro serve``
 accept ``--cache DIR``: exploration results (and clean fuzz verdicts)
@@ -100,7 +99,11 @@ from repro.apps import all_app_names, app_descriptions, build_app
 from repro.core.assignment import Objective
 from repro.core.mhla import Mhla
 from repro.core.scenarios import SCENARIO_ORDER
-from repro.core.tradeoff import TradeoffPoint, default_l2_bytes
+from repro.core.tradeoff import (
+    DEFAULT_L1_SWEEP_BYTES,
+    TradeoffPoint,
+    default_l2_bytes,
+)
 from repro.memory.presets import embedded_3layer
 from repro.sim import simulate
 from repro.sim.stats import relative_error
@@ -174,15 +177,14 @@ def _make_store(
     )
 
 
-def _make_executor(args: argparse.Namespace, jobs: int | None = None):
+def _make_executor(args: argparse.Namespace):
     """Runner for sweep cells: cache-backed service or plain pool."""
     from repro.service import ExplorationService
 
+    jobs = getattr(args, "jobs", 1)
     if getattr(args, "cache", None) is not None:
-        return ExplorationService(
-            store=_make_store(args), jobs=jobs or getattr(args, "jobs", 1)
-        )
-    return ParallelSweepRunner(jobs=jobs or getattr(args, "jobs", 1))
+        return ExplorationService(store=_make_store(args), jobs=jobs)
+    return ParallelSweepRunner(jobs=jobs)
 
 
 def _assigner_spec(args: argparse.Namespace):
@@ -198,23 +200,15 @@ def _assigner_spec(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    assigner = _assigner_spec(args)
-    if args.cache is not None:
-        cell = SweepCell(
-            app=args.app,
-            platform=PlatformSpec(
-                l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib)
-            ),
-            objective=Objective.EDP,
-            assigner=assigner,
-        )
-        result = _make_executor(args).run((cell,))[0].require()
-    else:
-        program = build_app(args.app)
-        platform = embedded_3layer(
-            l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib)
-        )
-        result = Mhla(program, platform, assigner=assigner).explore()
+    platform = PlatformSpec(l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib))
+    platform.build()  # a bad size is a user error (exit 2), not a failed cell
+    cell = SweepCell(
+        app=args.app,
+        platform=platform,
+        objective=Objective.EDP,
+        assigner=_assigner_spec(args),
+    )
+    result = _make_executor(args).run((cell,))[0].require()
     print(scenario_table([result]))
     print()
     print(f"MHLA speedup:        {result.mhla_speedup_fraction:.1%}")
@@ -290,7 +284,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0 if all(outcome.ok for outcome in outcomes) else 1
 
     # L1-size trade-off sweep for one application (TAB-TRADEOFF).
-    sizes = [kib(size) for size in (0.5, 1, 2, 4, 8, 16, 32, 64)]
     cells = tuple(
         SweepCell(
             app=args.app,
@@ -300,19 +293,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             objective=Objective.EDP,
             assigner=assigner,
         )
-        for size in sizes
+        for size in DEFAULT_L1_SWEEP_BYTES
     )
-    results = [outcome.require() for outcome in executor.run(cells)]
     points = tuple(
-        TradeoffPoint(
-            l1_bytes=cell.platform.l1_bytes,
-            cycles=result.scenario("mhla").cycles,
-            energy_nj=result.scenario("mhla").energy_nj,
-            te_cycles=result.scenario("mhla_te").cycles,
-            copies=result.scenario("mhla").assignment.copy_count(),
-            result=result,
-        )
-        for cell, result in zip(cells, results)
+        TradeoffPoint.from_result(cell.platform.l1_bytes, outcome.require())
+        for cell, outcome in zip(cells, executor.run(cells))
     )
     print(sweep_table(points))
     front = pareto_front(points, key=lambda p: (p.cycles, p.energy_nj, p.l1_bytes))
@@ -330,12 +315,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.search import PortfolioRunner, build_assigner
 
     program = build_app(args.app)
-    # Built through the picklable recipe so a parallel portfolio race
-    # hands workers exactly the platform this process analyses.
-    platform_spec = PlatformSpec(
-        l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib)
-    )
-    platform = platform_spec.build()
+    platform = embedded_3layer(l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib))
     objective = Objective(args.objective)
     ctx = AnalysisContext(program, platform)
     evaluator = IncrementalEvaluator(ctx)
@@ -350,12 +330,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     spec = _assigner_spec(args)
     engine = build_assigner(
-        ctx,
-        objective=objective,
-        spec=spec,
-        evaluator=evaluator,
-        jobs=getattr(args, "jobs", 1),
-        race_recipe=(args.app, platform_spec),
+        ctx, objective=objective, spec=spec, evaluator=evaluator
     )
     started = _time.perf_counter()
     assignment, trace = engine.run()
@@ -932,14 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search objective (default: edp)",
     )
     add_assigner_args(search, default="portfolio")
-    search.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes racing the portfolio members (1 = "
-        "sequential; winner and attribution are byte-identical "
-        "regardless)",
-    )
     add_obs_args(search)
     search.set_defaults(func=_cmd_search)
 

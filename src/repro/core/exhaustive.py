@@ -33,11 +33,43 @@ from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import GroupContribution, fold_objective_totals
 from repro.core.incremental import IncrementalEvaluator, OccupancyLedger
 from repro.errors import AssignmentError, ValidationError
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.reuse.candidates import CandidateChainSpec
 
 _BOUND_SLACK = 1.0 - 1e-9
 """Safety factor on lower bounds: prunes only subtrees that are worse
 than the incumbent by more than float-rounding noise."""
+
+
+def group_options(
+    hierarchy: MemoryHierarchy, spec: CandidateChainSpec
+) -> list[tuple[tuple[str, str], ...]]:
+    """All monotone (uid, layer) copy chains of one group, incl. empty.
+
+    Candidates are taken in level order and each copy sits in a
+    strictly deeper on-chip layer than the one before it; the empty
+    chain comes first.  Every engine that enumerates a group's options
+    (branch and bound, full enumeration, beam) uses this one list.
+    """
+    onchip = hierarchy.onchip_layers
+    candidates = sorted(spec.candidates, key=lambda c: c.level)
+    options: list[tuple[tuple[str, str], ...]] = [()]
+
+    def extend(
+        start: int, chain: tuple[tuple[str, str], ...], last_layer_index: int
+    ) -> None:
+        for position in range(start, len(candidates)):
+            candidate = candidates[position]
+            for layer in onchip:
+                layer_index = hierarchy.index_of(layer)
+                if layer_index <= last_layer_index:
+                    continue
+                grown = chain + ((candidate.uid, layer.name),)
+                options.append(grown)
+                extend(position + 1, grown, layer_index)
+
+    extend(0, (), 0)  # index 0 == off-chip home
+    return options
 
 
 @dataclass(frozen=True)
@@ -113,31 +145,6 @@ class ExhaustiveAssigner:
     # option enumeration (shared by both modes)
     # ------------------------------------------------------------------
 
-    def _group_options(
-        self, spec: CandidateChainSpec
-    ) -> list[tuple[tuple[str, str], ...]]:
-        """All monotone (uid, layer) chains for one group, incl. empty."""
-        hierarchy = self.ctx.platform.hierarchy
-        onchip = hierarchy.onchip_layers
-        candidates = sorted(spec.candidates, key=lambda c: c.level)
-        options: list[tuple[tuple[str, str], ...]] = [()]
-
-        def extend(
-            start: int, chain: tuple[tuple[str, str], ...], last_layer_index: int
-        ) -> None:
-            for position in range(start, len(candidates)):
-                candidate = candidates[position]
-                for layer in onchip:
-                    layer_index = hierarchy.index_of(layer)
-                    if layer_index <= last_layer_index:
-                        continue
-                    grown = chain + ((candidate.uid, layer.name),)
-                    options.append(grown)
-                    extend(position + 1, grown, layer_index)
-
-        extend(0, (), 0)  # index 0 == off-chip home
-        return options
-
     def _home_options(self, array_name: str) -> list[str]:
         hierarchy = self.ctx.platform.hierarchy
         offchip = hierarchy.offchip.name
@@ -166,7 +173,10 @@ class ExhaustiveAssigner:
 
     def _run_enumerate(self) -> ExhaustiveResult:
         group_keys = sorted(self.ctx.specs)
-        per_group = [self._group_options(self.ctx.specs[key]) for key in group_keys]
+        hierarchy = self.ctx.platform.hierarchy
+        per_group = [
+            group_options(hierarchy, self.ctx.specs[key]) for key in group_keys
+        ]
         array_names = sorted(self.ctx.program.arrays)
         per_array = [self._home_options(name) for name in array_names]
 
@@ -269,7 +279,8 @@ class ExhaustiveAssigner:
         evaluator = self.evaluator
         group_keys = sorted(ctx.specs)
         per_group_options = {
-            key: self._group_options(ctx.specs[key]) for key in group_keys
+            key: group_options(ctx.platform.hierarchy, ctx.specs[key])
+            for key in group_keys
         }
         array_names = sorted(ctx.program.arrays)
         per_array = [self._home_options(name) for name in array_names]

@@ -36,6 +36,19 @@ class TradeoffPoint:
     copies: int
     result: MhlaResult
 
+    @classmethod
+    def from_result(cls, l1_bytes: int, result: MhlaResult) -> TradeoffPoint:
+        """The sweep point one explored L1 size yields."""
+        mhla = result.scenario("mhla")
+        return cls(
+            l1_bytes=l1_bytes,
+            cycles=mhla.cycles,
+            energy_nj=mhla.energy_nj,
+            te_cycles=result.scenario("mhla_te").cycles,
+            copies=mhla.assignment.copy_count(),
+            result=result,
+        )
+
     @property
     def edp(self) -> float:
         """Energy-delay product at this point."""
@@ -95,18 +108,10 @@ def sweep_layer_sizes(
     """
     if platform_factory is None:
         platform_factory = default_platform_factory
-    points: list[TradeoffPoint] = []
-    for size in sizes_bytes:
-        platform = platform_factory(size)
-        result = Mhla(program, platform, objective=objective).explore()
-        points.append(
-            TradeoffPoint(
-                l1_bytes=size,
-                cycles=result.scenario("mhla").cycles,
-                energy_nj=result.scenario("mhla").energy_nj,
-                te_cycles=result.scenario("mhla_te").cycles,
-                copies=result.scenario("mhla").assignment.copy_count(),
-                result=result,
-            )
+    return tuple(
+        TradeoffPoint.from_result(
+            size,
+            Mhla(program, platform_factory(size), objective=objective).explore(),
         )
-    return tuple(points)
+        for size in sizes_bytes
+    )

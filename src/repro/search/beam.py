@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.exhaustive import group_options
 from repro.core.frontier import FrontierScorer
 from repro.core.incremental import OccupancyLedger
 from repro.core.state import SearchState, objective_from_totals
@@ -72,27 +73,6 @@ class BeamSearch(SearchEngine):
 
     name = "beam"
 
-    def _group_options(self, spec) -> list[tuple[tuple[str, str], ...]]:
-        """All monotone (uid, layer) chains of one group, incl. empty."""
-        hierarchy = self.ctx.platform.hierarchy
-        onchip = hierarchy.onchip_layers
-        candidates = sorted(spec.candidates, key=lambda c: c.level)
-        options: list[tuple[tuple[str, str], ...]] = [()]
-
-        def extend(start, chain, last_layer_index):
-            for position in range(start, len(candidates)):
-                candidate = candidates[position]
-                for layer in onchip:
-                    layer_index = hierarchy.index_of(layer)
-                    if layer_index <= last_layer_index:
-                        continue
-                    grown = chain + ((candidate.uid, layer.name),)
-                    options.append(grown)
-                    extend(position + 1, grown, layer_index)
-
-        extend(0, (), 0)
-        return options
-
     def _explore(
         self, state: SearchState, incumbent: Incumbent, rng: random.Random
     ) -> list[str]:
@@ -121,7 +101,7 @@ class BeamSearch(SearchEngine):
             home = base_assignment.array_home[spec.group.array_name]
             index = evaluator.group_index(group_key)
             nest = spec.group.nest_index
-            options = self._group_options(spec)
+            options = group_options(self.ctx.platform.hierarchy, spec)
             grown: list[_Expansion] = []
             for partial in beam:
                 # One flattened scorer per parent partial, shared by

@@ -64,18 +64,12 @@ def build_assigner(
     objective: Objective = Objective.EDP,
     spec: AssignerSpec | None = None,
     evaluator: IncrementalEvaluator | None = None,
-    jobs: int = 1,
-    race_recipe: tuple | None = None,
 ):
     """Materialise the engine an :class:`AssignerSpec` describes.
 
     ``greedy`` constructs a plain :class:`GreedyAssigner` with exactly
     the scenario runner's historical arguments, so a default spec is
-    byte-identical to the pre-portfolio behaviour.  *jobs* and
-    *race_recipe* enable parallel portfolio racing (see
-    :class:`PortfolioRunner`); other engines ignore them — their
-    results are identical either way, so neither is part of the
-    spec's cache identity.
+    byte-identical to the pre-portfolio behaviour.
     """
     spec = spec if spec is not None else AssignerSpec()
     if spec.name == "greedy":
@@ -88,8 +82,6 @@ def build_assigner(
             budget=budget,
             seed=spec.seed,
             evaluator=evaluator,
-            jobs=jobs,
-            race_recipe=race_recipe,
         )
     return strategy_class(spec.name)(
         ctx,

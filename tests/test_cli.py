@@ -270,7 +270,7 @@ class TestExitCodes:
             def explore(self):
                 raise SimulationError("internal inconsistency")
 
-        monkeypatch.setattr("repro.cli.Mhla", Exploding)
+        monkeypatch.setattr("repro.analysis.sweep.Mhla", Exploding)
         assert main(["run", "voice_coder"]) == 1
         err = capsys.readouterr().err
         assert "SimulationError" in err
@@ -278,6 +278,24 @@ class TestExitCodes:
     def test_missing_cache_dir_exits_2(self, capsys):
         assert main(["cache", "stats", "/no/such/dir"]) == 2
         assert "no such cache directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_bad_platform_size_exits_2_with_or_without_cache(
+        self, cache, capsys, tmp_path
+    ):
+        # an L1 larger than L2 is a user error on both evaluation paths
+        argv = ["run", "qsdpcm", "--l1-kib", "128", "--l2-kib", "64"]
+        if cache:
+            argv += ["--cache", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "EvaluationError" not in err
+
+    def test_search_has_no_jobs_flag(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "qsdpcm", "--jobs", "2"])
+        assert excinfo.value.code == 2
 
     def test_bad_arguments_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,5 @@
-"""Repo hygiene guards: no build artifacts in the git index.
+"""Repo hygiene guards: no build artifacts in the git index, and
+layering that points one way.
 
 A tracked ``.pyc`` once shadowed its source module in review diffs
 (and bloated every clone); this tier-1 guard keeps bytecode and other
@@ -6,8 +7,13 @@ interpreter droppings out of the index for good.  The rules live in
 the root ``.gitignore`` — this test checks both the ignore file and
 the index itself, because ``.gitignore`` alone never untracks a file
 that was already committed.
+
+The search engines and the core flow sit below the analysis, service
+and CLI layers; a lazy import inside a function is still an upward
+dependency, so the layering scan walks every import node.
 """
 
+import ast
 import pathlib
 import subprocess
 
@@ -71,3 +77,59 @@ def test_source_docs_cite_only_files_and_sections_that_exist():
     }
     for cited in ("Layout", "Fuzzing & differential verification"):
         assert cited in headings, f"README.md has no {cited!r} section"
+
+
+LOWER_LAYERS = ("src/repro/core", "src/repro/search")
+UPPER_LAYERS = ("repro.analysis", "repro.service", "repro.cli")
+
+
+def _imported_modules(node: ast.AST):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        # `from repro import analysis` names the submodule in the alias
+        return [node.module] + [
+            f"{node.module}.{alias.name}" for alias in node.names
+        ]
+    return []
+
+
+def upward_imports(root: pathlib.Path) -> list[str]:
+    """``path:line`` of every lower-layer import of an upper layer."""
+    offenders = []
+    for folder in LOWER_LAYERS:
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if any(
+                    module == upper or module.startswith(upper + ".")
+                    for module in _imported_modules(node)
+                    for upper in UPPER_LAYERS
+                ):
+                    offenders.append(
+                        f"{path.relative_to(root / 'src/repro')}:{node.lineno}"
+                    )
+    return sorted(offenders)
+
+
+def test_core_and_search_never_import_upper_layers():
+    offenders = upward_imports(REPO_ROOT)
+    assert not offenders, (
+        f"core/search import from {', '.join(UPPER_LAYERS)}: {offenders}"
+    )
+
+
+def test_upward_import_scan_sees_function_level_imports(tmp_path):
+    module = tmp_path / "src/repro/search/lazy.py"
+    module.parent.mkdir(parents=True)
+    (tmp_path / "src/repro/core").mkdir()
+    module.write_text(
+        "import repro.core\n"
+        "from repro import analysis\n"
+        "def f():\n"
+        "    from repro.service.keys import cell_key\n"
+        "    import repro.cli\n"
+    )
+    assert upward_imports(tmp_path) == [
+        "search/lazy.py:2", "search/lazy.py:4", "search/lazy.py:5",
+    ]
