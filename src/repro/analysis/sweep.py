@@ -14,10 +14,12 @@ Workers keep a small keyed cache of built ``(program, platform,
 AnalysisContext)`` triples: grid cells arrive app-major, so a
 contiguous batch is a run of cells sharing an (app, platform) pair and
 the expensive analysis precomputation happens once per run instead of
-once per cell.  The context is *pure* precomputation — each cell still
-gets a fresh :class:`~repro.core.incremental.IncrementalEvaluator`, so
-cached-context results (including the trace's cache-hit/miss counters)
-are byte-identical to cold ones.
+once per cell.  The context also carries the step-1 contribution
+tables, which are pure functions of it, so the objectives of one
+recipe build each group contribution once.  Each cell still gets a
+fresh :class:`~repro.core.incremental.IncrementalEvaluator` whose
+hit/miss counters count only its own lookups, so cached-context
+results (those counters included) are byte-identical to cold ones.
 
 Determinism: cells are picklable *recipes* (app name + platform
 parameters + objective), workers rebuild the program/platform from the
@@ -203,8 +205,10 @@ def _cached_context(cell: SweepCell):
 
     Lives in the worker process across batches (module globals survive
     between pool tasks), so consecutive cells of one app pay for one
-    analysis build.  Only pure precomputation is cached — never an
-    evaluator, whose cache counters are part of the result.
+    analysis build, and their evaluators share the context's
+    contribution tables.  The tables are cached with the context and
+    evicted with it; evaluators are not cached, because their hit/miss
+    counters are part of the result and count per evaluator.
     """
     from repro.core.context import AnalysisContext
 
@@ -231,8 +235,9 @@ def _evaluate_cell_warm(
     """Pooled worker body: context-cached, never raises.
 
     Byte-identical results to :func:`_evaluate_cell_guarded` — the
-    cached context is pure precomputation and the evaluator is rebuilt
-    per cell inside :meth:`~repro.core.mhla.Mhla.explore`.
+    cached context and its tables are pure precomputation and the
+    evaluator is rebuilt per cell inside
+    :meth:`~repro.core.mhla.Mhla.explore`.
     """
     try:
         with _maybe_profile_cell(cell):

@@ -105,13 +105,25 @@ class Assignment:
 
 
 class AnalysisContext:
-    """Pre-computed analyses for one (program, platform) pair."""
+    """Pre-computed analyses for one (program, platform) pair.
+
+    Besides the up-front analyses, the context owns the step-1 cost
+    tables that :class:`~repro.core.incremental.IncrementalEvaluator`
+    fills on demand: ``contribution_table`` maps ``(group_key, home
+    layer, selections)`` to its ``GroupContribution`` (``None`` for an
+    illegal chain) and ``link_table`` maps ``(uid, layer, parent
+    layer)`` to its ``LinkContribution``.  Both are pure functions of
+    the context, so every evaluator built on it — one per objective of
+    a sweep — shares them, and they live exactly as long as the context.
+    """
 
     def __init__(self, program: Program, platform: Platform):
         self.program = program
         self.platform = platform
         self.specs: dict[str, CandidateChainSpec] = enumerate_candidates(program)
         self.deps: DependenceInfo = analyze_dependences(program)
+        self.contribution_table: dict = {}
+        self.link_table: dict = {}
 
     # ------------------------------------------------------------------
     # group lookups

@@ -21,6 +21,11 @@ and scores each move by *replaying only the suffix* of the fold:
   move that first touches group *g* starts from ``prefix[a][g]`` and
   replays substituted + untouched terms from there.
 
+A move that substitutes a single group — nearly all of them: an added
+or dropped copy — takes an inline path in
+:meth:`FrontierScorer.substituted_totals` that skips the sort and the
+per-accumulator calls but replays the same additions.
+
 Floating-point addition is not associative, so the suffix **replays**
 rather than subtracts: every value this module produces is the result
 of the same left-to-right IEEE-754 addition sequence the reference
@@ -130,15 +135,49 @@ class FrontierScorer:
         GroupContribution)`` pairs with distinct indices; order is
         normalised here.  Bit-identical to rebuilding the substituted
         list and folding it from scratch.
+
+        Nearly every move substitutes one group (an added or dropped
+        copy), so that case is replayed inline: per accumulator, the
+        prefix before the group, then the group's new terms, then the
+        original terms after it — the addition sequence of
+        :meth:`_substituted_accumulator` for one substitution, without
+        the sort and the five calls.
         """
-        ordered = sorted(substitutions, key=lambda pair: pair[0])
-        if not ordered:
-            return self.base_totals()
-        cpu_access = self._substituted_accumulator(0, ordered)
-        stall = self._substituted_accumulator(1, ordered)
-        copy_cpu = self._substituted_accumulator(2, ordered)
-        cpu_energy = self._substituted_accumulator(3, ordered)
-        transfer_energy = self._substituted_accumulator(4, ordered)
+        if len(substitutions) == 1:
+            ((index, contribution),) = substitutions
+            after = index + 1
+            terms = self._terms
+            offsets = self._offsets
+            prefix = self._prefix
+            cpu_access = sum(
+                terms[0][offsets[0][after]:],
+                sum(contribution.cpu_access_cycles_terms, prefix[0][index]),
+            )
+            stall = sum(
+                terms[1][offsets[1][after]:],
+                sum(contribution.stall_terms, prefix[1][index]),
+            )
+            copy_cpu = sum(
+                terms[2][offsets[2][after]:],
+                sum(contribution.copy_cpu_terms, prefix[2][index]),
+            )
+            cpu_energy = sum(
+                terms[3][offsets[3][after]:],
+                sum(contribution.cpu_access_energy_terms, prefix[3][index]),
+            )
+            transfer_energy = sum(
+                terms[4][offsets[4][after]:],
+                sum(contribution.transfer_energy_terms, prefix[4][index]),
+            )
+        else:
+            ordered = sorted(substitutions, key=lambda pair: pair[0])
+            if not ordered:
+                return self.base_totals()
+            cpu_access = self._substituted_accumulator(0, ordered)
+            stall = self._substituted_accumulator(1, ordered)
+            copy_cpu = self._substituted_accumulator(2, ordered)
+            cpu_energy = self._substituted_accumulator(3, ordered)
+            transfer_energy = self._substituted_accumulator(4, ordered)
         cycles = self.compute_cycles + cpu_access + stall + copy_cpu
         energy = cpu_energy + transfer_energy
         return cycles, energy

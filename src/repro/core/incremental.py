@@ -14,7 +14,14 @@ groups):
   an assignment folds the cached contributions in canonical group
   order, which is bit-identical to a from-scratch
   :func:`~repro.core.costs.estimate_cost` because contributions store
-  their cost terms in accumulation order.
+  their cost terms in accumulation order.  The contribution and link
+  tables themselves live on the
+  :class:`~repro.core.context.AnalysisContext` (they are pure functions
+  of it), so evaluators sharing a context — the three objectives of one
+  sweep cell recipe — build each contribution once.  Each evaluator
+  keeps a first-level dict over them only for its own hit/miss
+  counters: a miss is the first lookup of a key *by that evaluator*,
+  so the counters do not depend on what other evaluators did.
 * :class:`OccupancyLedger` keeps a mutable per-layer, per-timeline-step
   byte count so capacity feasibility of a move is answered by checking
   a single claim delta against the touched steps instead of rebuilding
@@ -157,7 +164,9 @@ class IncrementalEvaluator:
     sequence of ``with_copy`` / ``without_copy`` / ``with_home`` moves
     re-scores only the touched group(s) and reuses cached
     contributions for the rest.  An illegal chain is cached as
-    ``None`` so legality probes are one dict hit as well.
+    ``None`` so legality probes are one dict hit as well.  Contributions
+    are built into the context's shared tables (see the module
+    docstring); :attr:`stats` counts this evaluator's own lookups.
     """
 
     def __init__(self, ctx: AnalysisContext):
@@ -166,7 +175,6 @@ class IncrementalEvaluator:
         self._contribs: dict[
             tuple[str, str, Selections], GroupContribution | None
         ] = {}
-        self._links: dict[tuple[str, str, str], LinkContribution] = {}
         self.compute_cycles = float(ctx.program.compute_cycles())
         self._live_intervals = {
             name: ctx.program.live_interval(name) for name in ctx.program.arrays
@@ -218,7 +226,8 @@ class IncrementalEvaluator:
     ) -> LinkContribution:
         """Memoised per-link cost (search path: no TE hiding)."""
         key = (uid, layer_name, parent_name)
-        cached = self._links.get(key)
+        links = self.ctx.link_table
+        cached = links.get(key)
         if cached is not None:
             return cached
         candidate = self._candidates[uid]
@@ -229,7 +238,7 @@ class IncrementalEvaluator:
             self._layers[layer_name],
             self._layers[parent_name],
         )
-        self._links[key] = link
+        links[key] = link
         return link
 
     def contribution_or_none(
@@ -237,13 +246,11 @@ class IncrementalEvaluator:
     ) -> GroupContribution | None:
         """Memoised group contribution, ``None`` when the chain is illegal.
 
-        Chain validity is checked inline (levels strictly increasing,
-        each copy's layer strictly closer to the CPU than its parent's)
-        and the contribution is assembled from cached per-link parts —
-        equivalent to materialising and validating a
-        :class:`~repro.reuse.chains.CopyChain` and costing it whole.
-        An unknown candidate uid raises ``KeyError``: that is a caller
-        bug, not an illegal move.
+        A key this evaluator has not looked up before counts as a miss
+        and is taken from the context's shared table, or built into it
+        when no evaluator on the context has needed it yet.  An unknown
+        candidate uid raises ``KeyError``: that is a caller bug, not an
+        illegal move.
         """
         key = (group_key, home_layer, selections)
         cache = self._contribs
@@ -251,7 +258,28 @@ class IncrementalEvaluator:
             self.stats.hits += 1
             return cache[key]
         self.stats.misses += 1
+        shared = self.ctx.contribution_table
+        if key in shared:
+            contribution = shared[key]
+        else:
+            contribution = self._build_contribution(
+                group_key, home_layer, selections
+            )
+            shared[key] = contribution
+        cache[key] = contribution
+        return contribution
 
+    def _build_contribution(
+        self, group_key: str, home_layer: str, selections: Selections
+    ) -> GroupContribution | None:
+        """Validate the chain and assemble its contribution.
+
+        Chain validity is checked inline (levels strictly increasing,
+        each copy's layer strictly closer to the CPU than its parent's)
+        and the contribution is assembled from cached per-link parts —
+        equivalent to materialising and validating a
+        :class:`~repro.reuse.chains.CopyChain` and costing it whole.
+        """
         levels = self._candidate_level
         layer_index = self._layer_index
         if selections:
@@ -260,32 +288,25 @@ class IncrementalEvaluator:
             previous_index = layer_index[home_layer]
             previous_name = home_layer
             links = []
-            legal = True
             for uid, layer_name in ordered:
                 level = levels[uid]
                 index = layer_index[layer_name]
                 if level <= previous_level or index <= previous_index:
-                    legal = False
-                    break
+                    return None
                 links.append(self._link_part(uid, layer_name, previous_name))
                 previous_level = level
                 previous_index = index
                 previous_name = layer_name
-            if not legal:
-                cache[key] = None
-                return None
             serving_name = previous_name
         else:
             links = []
             serving_name = home_layer
 
-        contribution = assemble_contribution(
+        return assemble_contribution(
             self.ctx.specs[group_key].group,
             self._layers[serving_name],
             links,
         )
-        cache[key] = contribution
-        return contribution
 
     def chain_is_legal(
         self, group_key: str, home_layer: str, selections: Selections

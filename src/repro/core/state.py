@@ -172,6 +172,10 @@ class SearchState:
         # random proposals replay identically.  Drop/rehome sites
         # depend on the current assignment and are enumerated on demand.
         self.add_sites = add_sites_of(ctx)
+        # AddCopy -> (home, copies tuple, substitutions or None): the
+        # legality + contribution part of the move, valid while its
+        # group's state is unchanged (see _add_substitutions).
+        self._add_memo: dict[AddCopy, tuple] = {}
 
     # ------------------------------------------------------------------
     # scoring (pure probes)
@@ -196,26 +200,21 @@ class SearchState:
         illegal/infeasible.  Single point of truth for move semantics:
         both the per-move reference path (:meth:`score`) and the
         batched path (:meth:`score_frontier`) consume it, so they can
-        never disagree on which moves are admissible — and because it
-        performs the identical evaluator lookups in the identical
-        order, cache hit/miss counters match between the paths too.
+        never disagree on which moves are admissible.  An
+        :class:`AddCopy` whose group state is unchanged since it was
+        last scored reuses its memoised legality and contribution and
+        skips the evaluator lookup; that lookup would have been a hit,
+        so the evaluator's miss counter is the same as without the
+        memo and only its hit counter is lower.
         """
         evaluator = self.evaluator
         if isinstance(move, AddCopy):
-            existing = self.assignment.copies.get(move.group_key, ())
-            if any(uid == move.uid for uid, _layer in existing):
-                return None
-            home = self.evaluator.group_state(self.assignment, move.group_key)[0]
-            contribution = evaluator.contribution_or_none(
-                move.group_key, home, existing + ((move.uid, move.layer_name),)
-            )
-            if contribution is None:
-                return None
-            if not evaluator.fits_with_copy(
+            substitutions = self._add_substitutions(move)
+            if substitutions is None or not evaluator.fits_with_copy(
                 self.ledger, move.group_key, move.uid, move.layer_name
             ):
                 return None
-            return ((evaluator.group_index(move.group_key), contribution),)
+            return substitutions
         if isinstance(move, DropCopy):
             existing = self.assignment.copies.get(move.group_key, ())
             if (move.uid, move.layer_name) not in existing:
@@ -253,6 +252,36 @@ class SearchState:
                 return None
             return tuple(substitutions)
         raise ValidationError(f"unknown move type {type(move).__name__}")
+
+    def _add_substitutions(self, move: AddCopy):
+        """Legality + contribution of an :class:`AddCopy`, memoised.
+
+        The result depends only on the group's state: its home layer and
+        its copies tuple.  A memo entry is reused when the home is equal
+        and the copies tuple is the *same object*: assignments replace
+        a group's tuple whenever its copies change and share it
+        otherwise, so identity is a cheap, exact "unchanged" test (the
+        entry holds the tuple, so its identity cannot be reused).  The
+        capacity probe is not memoised: the ledger changes with every
+        applied move, and the caller re-runs it each time.
+        """
+        home, existing = self.evaluator.group_state(
+            self.assignment, move.group_key
+        )
+        memo = self._add_memo.get(move)
+        if memo is not None and memo[1] is existing and memo[0] == home:
+            return memo[2]
+        substitutions = None
+        if all(uid != move.uid for uid, _layer in existing):
+            contribution = self.evaluator.contribution_or_none(
+                move.group_key, home, existing + ((move.uid, move.layer_name),)
+            )
+            if contribution is not None:
+                substitutions = (
+                    (self.evaluator.group_index(move.group_key), contribution),
+                )
+        self._add_memo[move] = (home, existing, substitutions)
+        return substitutions
 
     def score(self, move: Move) -> float | None:
         """Objective after *move*, or None when illegal/infeasible.

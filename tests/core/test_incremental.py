@@ -18,6 +18,7 @@ from repro.core.assignment import GreedyAssigner, Objective
 from repro.core.context import AnalysisContext
 from repro.core.costs import estimate_cost
 from repro.core.exhaustive import ExhaustiveAssigner
+from repro.core import incremental
 from repro.core.incremental import IncrementalEvaluator
 from repro.errors import ValidationError
 from repro.memory.presets import embedded_3layer
@@ -165,6 +166,64 @@ class TestRandomWalkEquivalence:
         assert evaluator.stats.misses == misses  # all hits the second time
         assert evaluator.stats.hits >= len(window_ctx.specs)
         assert 0.0 <= evaluator.stats.hit_rate() <= 1.0
+
+
+class TestSharedContextTables:
+    """Evaluators on one context share its tables, not their counters.
+
+    A sweep worker runs every objective of a recipe on one cached
+    context: the second run must find the first run's contributions in
+    the context's table, yet report the hit/miss counters a run on a
+    fresh context reports, because those counters are part of the
+    result.
+    """
+
+    OBJECTIVES = (Objective.EDP, Objective.CYCLES)
+
+    @staticmethod
+    def _ctx():
+        return AnalysisContext(build_app("qsdpcm"), embedded_3layer())
+
+    @staticmethod
+    def _counting_builds(monkeypatch) -> list[int]:
+        builds = [0]
+        original = incremental.assemble_contribution
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(incremental, "assemble_contribution", counted)
+        return builds
+
+    def test_counters_match_runs_on_fresh_contexts(self):
+        shared = self._ctx()
+        for objective in self.OBJECTIVES:
+            assignment, trace = GreedyAssigner(shared, objective=objective).run()
+            fresh, fresh_trace = GreedyAssigner(
+                self._ctx(), objective=objective
+            ).run()
+            assert assignment == fresh
+            assert trace.steps == fresh_trace.steps
+            assert trace.final_value == fresh_trace.final_value
+            assert trace.stats.cache_hits == fresh_trace.stats.cache_hits
+            assert trace.stats.cache_misses == fresh_trace.stats.cache_misses
+
+    def test_second_run_on_shared_context_builds_less(self, monkeypatch):
+        builds = self._counting_builds(monkeypatch)
+        shared = self._ctx()
+        fresh_builds = []
+        for objective in self.OBJECTIVES:
+            builds[0] = 0
+            GreedyAssigner(self._ctx(), objective=objective).run()
+            fresh_builds.append(builds[0])
+        shared_builds = []
+        for objective in self.OBJECTIVES:
+            builds[0] = 0
+            GreedyAssigner(shared, objective=objective).run()
+            shared_builds.append(builds[0])
+        assert shared_builds[0] == fresh_builds[0]
+        assert shared_builds[1] < fresh_builds[1]
 
 
 class TestGreedyEquivalence:

@@ -118,3 +118,47 @@ class TestMoveLegality:
             ):
                 if round_trip(move):
                     break
+
+
+class TestMoveMemoOracle:
+    """Memoised scores match a state that has never scored anything.
+
+    A walked :class:`SearchState` reuses the legality and contribution
+    of every :class:`~repro.core.state.AddCopy` whose group state is
+    unchanged since it was last scored.  After every apply and every
+    undo, each sampled move must score exactly as it does on a fresh
+    state, on a fresh context, at the same assignment — through both
+    :meth:`SearchState.score` and :meth:`SearchState.score_frontier`.
+    """
+
+    @given(case=CASE_SEEDS, walk=WALK_SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_walked_scores_match_fresh_state(self, case, walk):
+        spec = generate_case(case)
+        state = _state_for(case)
+        rng = random.Random(walk)
+        applied = []
+        for _ in range(12):
+            if applied and rng.random() < 0.3:
+                state.undo(applied.pop())
+            else:
+                move = state.propose(rng)
+                if move is not None and state.score(move) is not None:
+                    state.apply(move)
+                    applied.append(move)
+            # Every add site (the memoised kind), plus the drop and
+            # rehome sites of the current assignment.
+            moves = (
+                list(state.add_sites)
+                + list(state.drop_sites())
+                + list(state.rehome_sites())
+            )
+            program, platform, objective = spec.build()
+            fresh = SearchState(
+                AnalysisContext(program, platform),
+                objective=objective,
+                assignment=state.assignment,
+            )
+            expected = [fresh.score(move) for move in moves]
+            assert [state.score(move) for move in moves] == expected
+            assert state.score_frontier(moves) == expected
