@@ -50,7 +50,7 @@ BATCHES_PER_WORKER = 2
 does not serialise the tail, but batches stay long — measured on the
 9-cell bench grid, halving from 4 turned the warm pool from 14% slower
 than serial into 6% faster, because longer contiguous runs are what
-feed the workers' per-(app, platform) context cache."""
+feed the workers' per-(app, platform) context slot."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class PersistentPool:
 
         Contiguity is deliberate — grid cells arrive app-major, so a
         batch is a run of cells sharing an application (and often a
-        platform), which the worker-side context cache turns into one
+        platform), which the worker's context slot turns into one
         build amortised over the run.
         """
         count = min(len(items), jobs * BATCHES_PER_WORKER)

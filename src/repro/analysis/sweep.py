@@ -10,8 +10,8 @@ batches — the pool is created once per process and reused by every
 later sweep, so a long-lived service or fuzz loop pays the worker
 spawn cost exactly once instead of per sweep.
 
-Workers keep a small keyed cache of built ``(program, platform,
-AnalysisContext)`` triples: grid cells arrive app-major, so a
+The runner keeps the current recipe's ``(program, platform,
+AnalysisContext)`` in a single slot: grid cells arrive app-major, so a
 contiguous batch is a run of cells sharing an (app, platform) pair and
 the expensive analysis precomputation happens once per run instead of
 once per cell.  The context also carries the step-1 contribution
@@ -25,13 +25,14 @@ Determinism: cells are picklable *recipes* (app name + platform
 parameters + objective), workers rebuild the program/platform from the
 recipe, and results come back in exactly the submitted cell order,
 so a parallel run produces output identical to the serial path.
-``jobs <= 1`` short-circuits to an in-process loop with no pool at
-all — that loop is the stateless reference the parallel path must
-match byte for byte.
+``jobs <= 1`` runs the same body in process, with no pool at all;
+:func:`_evaluate_cell_guarded`, which builds everything per cell, is
+the stateless oracle both must match byte for byte.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -146,7 +147,7 @@ class SweepCellResult:
 
 
 def evaluate_cell(cell: SweepCell) -> MhlaResult:
-    """Run the full MHLA(+TE) flow for one cell (the pool worker)."""
+    """Run the full MHLA(+TE) flow for one cell, sharing nothing."""
     program = build_app(cell.app)
     platform = cell.platform.build()
     return Mhla(
@@ -178,13 +179,11 @@ def _maybe_profile_cell(cell: SweepCell):
 def _evaluate_cell_guarded(
     cell: SweepCell,
 ) -> tuple[MhlaResult | None, str | None]:
-    """Serial-path cell wrapper: never raises, returns (result, error).
+    """Stateless cell wrapper: never raises, returns (result, error).
 
-    Exceptions must not escape: one bad cell would abort the sweep and
-    throw away every other cell's work (and, before this wrapper
-    existed, did so with an exception whose cell identity was lost).
-    This stateless build-everything-per-cell loop is the reference the
-    warm pooled worker must match byte for byte.
+    Builds the program, platform and context afresh for every cell, so
+    it shares nothing between cells: it is the oracle the runner's
+    cell body, :func:`_evaluate_cell_warm`, must match byte for byte.
     """
     try:
         with _maybe_profile_cell(cell):
@@ -194,20 +193,21 @@ def _evaluate_cell_guarded(
 
 
 _CTX_CACHE: dict[tuple, tuple] = {}
-_CTX_CACHE_LIMIT = 16
-"""Worker-resident (app, platform-recipe) -> (program, platform, ctx)
-cache.  Bounded LRU: a synthetic sweep can reference thousands of
-generated apps and must not grow worker memory without bound."""
+"""Single slot: (app, platform-recipe) -> (program, platform, ctx) of
+the current run.  Grids are recipe-contiguous and the pool slices them
+contiguously, so one slot shares what a larger cache would, without
+its memory; concurrent runs of other recipes only rebuild more often."""
+_CTX_LOCK = threading.Lock()  # a server may run two sweeps at once
 
 
 def _cached_context(cell: SweepCell):
     """The built (program, platform, ctx) triple for a cell's recipe.
 
-    Lives in the worker process across batches (module globals survive
-    between pool tasks), so consecutive cells of one app pay for one
-    analysis build, and their evaluators share the context's
-    contribution tables.  The tables are cached with the context and
-    evicted with it; evaluators are not cached, because their hit/miss
+    Lives in the process across cells and batches (module globals
+    survive between pool tasks), so consecutive cells of one recipe pay
+    for one analysis build, and their evaluators share the context's
+    contribution tables.  A new recipe replaces the slot, tables
+    included; evaluators are not cached, because their hit/miss
     counters are part of the result and count per evaluator.
     """
     from repro.core.context import AnalysisContext
@@ -218,21 +218,21 @@ def _cached_context(cell: SweepCell):
         cell.platform.l1_bytes,
         cell.platform.l2_bytes,
     )
-    cached = _CTX_CACHE.pop(key, None)
+    cached = _CTX_CACHE.get(key)
     if cached is None:
         program = build_app(cell.app)
         platform = cell.platform.build()
         cached = (program, platform, AnalysisContext(program, platform))
-        while len(_CTX_CACHE) >= _CTX_CACHE_LIMIT:
-            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
-    _CTX_CACHE[key] = cached  # (re)insert at LRU tail
+        with _CTX_LOCK:
+            _CTX_CACHE.clear()
+            _CTX_CACHE[key] = cached
     return cached
 
 
 def _evaluate_cell_warm(
     cell: SweepCell,
 ) -> tuple[MhlaResult | None, str | None]:
-    """Pooled worker body: context-cached, never raises.
+    """The runner's cell body, serial and pooled: never raises.
 
     Byte-identical results to :func:`_evaluate_cell_guarded` — the
     cached context and its tables are pure precomputation and the
@@ -334,7 +334,7 @@ class ParallelSweepRunner:
         if cell_list:
             jobs = min(jobs, len(cell_list))
         if jobs <= 1:
-            outcomes = [_evaluate_cell_guarded(cell) for cell in cell_list]
+            outcomes = [_evaluate_cell_warm(cell) for cell in cell_list]
         else:
             outcomes = get_pool().map_batched(
                 _evaluate_cell_warm, cell_list, jobs

@@ -1,7 +1,11 @@
 """Unit tests for :mod:`repro.analysis.sweep` (the parallel runner)."""
 
+import threading
+
 import pytest
 
+from repro.analysis import sweep
+from repro.analysis.export import result_to_dict, result_to_state
 from repro.analysis.sweep import (
     DEFAULT_PLATFORM_SPECS,
     ParallelSweepRunner,
@@ -15,6 +19,27 @@ from repro.apps import all_app_names
 from repro.core.assignment import Objective
 from repro.errors import ValidationError
 from repro.units import kib
+
+
+def observable(result, error):
+    """Everything a cell reports except wall-clock time.
+
+    The lossless state carries the search counters (``moves_evaluated``,
+    ``cache_hits``, ``cache_misses``) that ``result_to_dict`` leaves out.
+    """
+    if result is None:
+        return None, error
+    state = result_to_state(result)
+    for scenario in state["scenarios"].values():
+        trace = scenario["trace"]
+        if trace is not None and trace["stats"] is not None:
+            del trace["stats"]["wall_time_s"]
+    return result_to_dict(result), state, error
+
+
+def stateless(cell):
+    """The oracle: the cell evaluated with nothing shared."""
+    return observable(*sweep._evaluate_cell_guarded(cell))
 
 
 class TestPlatformSpec:
@@ -68,28 +93,28 @@ class TestRunner:
         for outcome in outcomes:
             assert outcome.result.app_name == outcome.cell.app
 
-    def test_parallel_identical_to_serial(self, small_grid):
-        serial = ParallelSweepRunner(jobs=1).run(small_grid)
-        parallel = ParallelSweepRunner(jobs=2).run(small_grid)
-        for left, right in zip(serial, parallel):
-            assert left.cell == right.cell
-            for name in ("oob", "mhla", "mhla_te", "ideal"):
-                assert (
-                    left.result.scenario(name).cycles
-                    == right.result.scenario(name).cycles
-                )
-                assert (
-                    left.result.scenario(name).energy_nj
-                    == right.result.scenario(name).energy_nj
-                )
-            assert (
-                left.result.scenario("mhla").assignment.copies
-                == right.result.scenario("mhla").assignment.copies
-            )
-            assert (
-                left.result.scenario("mhla").assignment.array_home
-                == right.result.scenario("mhla").assignment.array_home
-            )
+    @pytest.fixture(scope="class")
+    def interleaved_grid(self):
+        """Recipes A, B, A: the slot is replaced twice within one run."""
+        edp, cycles = Objective.EDP, Objective.CYCLES
+        small = PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(16))
+        return (
+            SweepCell("voice_coder", small, edp),
+            SweepCell("voice_coder", small, cycles),
+            SweepCell("wavelet", small, edp),
+            SweepCell("voice_coder", small, edp),
+            SweepCell("voice_coder", PlatformSpec(l1_bytes=kib(2)), cycles),
+        )
+
+    def test_parallel_identical_to_serial(self, small_grid, interleaved_grid):
+        for grid in (small_grid, interleaved_grid):
+            expected = [stateless(cell) for cell in grid]
+            for jobs in (1, 2):
+                outcomes = ParallelSweepRunner(jobs=jobs).run(grid)
+                assert [o.cell for o in outcomes] == list(grid)
+                assert [
+                    observable(o.result, o.error) for o in outcomes
+                ] == expected, f"jobs={jobs}"
 
     def test_empty_grid(self):
         assert ParallelSweepRunner(jobs=4).run(()) == ()
@@ -129,6 +154,11 @@ class TestErrorSurfacing:
         assert "ValidationError" in failed.error
         assert "quantum" in failed.error
         assert outcomes[0].result.app_name == "voice_coder"
+        # the failed platform build between two good cells of one
+        # recipe leaves the context slot intact
+        assert observable(outcomes[2].result, outcomes[2].error) == stateless(
+            mixed_grid[2]
+        )
 
     def test_parallel_failures_are_structured(self, mixed_grid):
         serial = ParallelSweepRunner(jobs=1).run(mixed_grid)
@@ -155,6 +185,59 @@ class TestErrorSurfacing:
         assert "quantum" in table
         # good rows still render their metrics
         assert "voice_coder" in table
+
+
+class TestContextSlot:
+    """The runner's cell body keeps only the current recipe's context."""
+
+    RECIPES = (
+        ("voice_coder", PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(16))),
+        ("wavelet", PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(16))),
+        ("voice_coder", PlatformSpec()),
+    )
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        return tuple(
+            SweepCell(app, platform, objective)
+            for objective in (Objective.EDP, Objective.CYCLES)
+            for app, platform in self.RECIPES
+        )
+
+    def test_slot_holds_the_last_recipe_only(self, cells):
+        ParallelSweepRunner(jobs=1).run(cells)
+        assert list(sweep._CTX_CACHE) == [
+            ("voice_coder", "embedded_3layer", kib(8), kib(64))
+        ]
+
+    def test_concurrent_interleaved_recipes_match_the_oracle(self, cells):
+        expected = {cell: stateless(cell) for cell in cells}
+        seen: list[tuple] = []
+        raised: list[BaseException] = []
+
+        def evaluate(offset):
+            try:
+                for step in range(2 * len(cells)):
+                    cell = cells[(offset + step) % len(cells)]
+                    seen.append(
+                        (cell, observable(*sweep._evaluate_cell_warm(cell)))
+                    )
+            except BaseException as error:  # noqa: BLE001 — reported below
+                raised.append(error)
+
+        threads = [
+            threading.Thread(target=evaluate, args=(offset,))
+            for offset in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert raised == []
+        assert len(seen) == 4 * 2 * len(cells)
+        for cell, outcome in seen:
+            assert outcome == expected[cell], cell
+        assert len(sweep._CTX_CACHE) <= 1
 
 
 class TestCellPickling:

@@ -70,21 +70,25 @@ class TestSubmitPollResult:
 
     def test_failed_job_can_be_retried(self, service, cell, monkeypatch):
         # Regression: a (possibly transient) failure must not poison
-        # the key — a fresh submission re-queues it.
+        # the key — a fresh submission re-queues it.  The error is
+        # injected at ``Mhla``, which the cell body calls every time
+        # (its app and context builds are skipped when the slot is warm).
         import repro.analysis.sweep as sweep_mod
 
-        original = sweep_mod.evaluate_cell
+        original = sweep_mod.Mhla
         monkeypatch.setattr(
             sweep_mod,
-            "evaluate_cell",
-            lambda cell: (_ for _ in ()).throw(RuntimeError("transient")),
+            "Mhla",
+            lambda *args, **kwargs: (_ for _ in ()).throw(
+                RuntimeError("transient")
+            ),
         )
         key = service.submit(cell)
         with pytest.raises(ServiceError, match="transient"):
             service.result(key)
         assert service.poll(key) == FAILED
 
-        monkeypatch.setattr(sweep_mod, "evaluate_cell", original)
+        monkeypatch.setattr(sweep_mod, "Mhla", original)
         retry_key = service.submit(cell)
         assert retry_key == key
         assert service.poll(key) == PENDING

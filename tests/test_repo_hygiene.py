@@ -15,9 +15,14 @@ dependency, so the layering scan walks every import node.
 Serving never imports numpy: dropping it cut a cold grid server's peak
 RSS from 133.9 to 97.3 MiB, so a vectorised fold that pulls it back in
 has to be a deliberate, measured choice.
+
+perfbench reaches into ``repro.analysis.sweep`` by attribute and wraps
+functions named by string; both break only when a traced run reaches
+them, so a scan checks every such name still resolves.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -167,3 +172,89 @@ def test_serving_a_cell_never_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _sweep_aliases(tree: ast.AST) -> set[str]:
+    """Local names a module binds to ``repro.analysis.sweep``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.analysis":
+            aliases.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "sweep"
+            )
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                alias.asname
+                for alias in node.names
+                if alias.name == "repro.analysis.sweep" and alias.asname
+            )
+    return aliases
+
+
+def _resolves(module_name: str, *attrs: str) -> bool:
+    owner = importlib.import_module(module_name)
+    for attr in attrs:
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+def dangling_perfbench_names(root: pathlib.Path) -> list[str]:
+    """``path:line name`` of every ``src/`` name perfbench uses that is gone.
+
+    Covers ``sweep.<name>`` attribute reads and the span targets, the
+    ``("repro.<module>", owner-or-None, attr, span)`` tuples it wraps.
+    """
+    offenders = []
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = _sweep_aliases(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                module, attrs = "repro.analysis.sweep", (node.attr,)
+            elif (
+                isinstance(node, ast.Tuple)
+                and len(node.elts) == 4
+                and all(isinstance(elt, ast.Constant) for elt in node.elts)
+                and str(node.elts[0].value).startswith("repro.")
+            ):
+                module, owner, attr, _span = (elt.value for elt in node.elts)
+                attrs = (attr,) if owner is None else (owner, attr)
+            else:
+                continue
+            if not _resolves(module, *attrs):
+                offenders.append(
+                    f"{path.name}:{node.lineno} {module}.{'.'.join(attrs)}"
+                )
+    return offenders
+
+
+def test_perfbench_uses_only_names_that_exist():
+    # perfbench may not change in a change that claims a gain, so a
+    # src/ rename that breaks its traced run has to fail here instead
+    offenders = dangling_perfbench_names(REPO_ROOT)
+    assert not offenders, f"perfbench uses names src/ lacks: {offenders}"
+
+
+def test_perfbench_name_scan_sees_attributes_and_span_targets(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench/probe.py").write_text(
+        "from repro.analysis import sweep as sw\n"
+        "sw._CTX_CACHE.clear()\n"
+        "sw._evaluate_cell_cold(None)\n"
+        "TARGETS = (\n"
+        "    ('repro.analysis.sweep', None, 'build_app', 'apps.build'),\n"
+        "    ('repro.core.te', 'TimeExtensionEngine', 'walk', 'te.run'),\n"
+        ")\n"
+    )
+    assert dangling_perfbench_names(tmp_path) == [
+        "probe.py:3 repro.analysis.sweep._evaluate_cell_cold",
+        "probe.py:6 repro.core.te.TimeExtensionEngine.walk",
+    ]
