@@ -26,6 +26,7 @@ from repro.errors import ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import AnalysisContext, Assignment
+    from repro.reuse.chains import CopyChain
 
 
 class TransferDirection(enum.Enum):
@@ -87,14 +88,17 @@ class BlockTransfer:
 
 
 def collect_block_transfers(
-    ctx: "AnalysisContext", assignment: "Assignment"
+    ctx: "AnalysisContext",
+    assignment: "Assignment",
+    chains: "dict[str, CopyChain] | None" = None,
 ) -> tuple[BlockTransfer, ...]:
     """Enumerate the block transfers of an assignment, program order.
 
     Returns an empty tuple on platforms without a transfer engine: the
     CPU performs copies itself and there are no DMA BTs to schedule
     (the paper: "In case that our architecture does not support a memory
-    transfer engine, TE are not applicable").
+    transfer engine, TE are not applicable").  *chains*, when given,
+    must be ``ctx.chains(assignment)``; passing them skips the rebuild.
     """
     if ctx.platform.dma is None:
         return ()
@@ -103,7 +107,11 @@ def collect_block_transfers(
     hierarchy = ctx.platform.hierarchy
     transfers: list[BlockTransfer] = []
     for group_key in sorted(ctx.specs):
-        chain = ctx.chain_for(assignment, group_key)
+        chain = (
+            chains[group_key]
+            if chains is not None
+            else ctx.chain_for(assignment, group_key)
+        )
         element_bytes = program.array(chain.group.array_name).element_bytes
         previous_level = 0
         for selected, parent_layer_name in chain.links():

@@ -10,7 +10,7 @@ search fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.errors import ValidationError
@@ -107,14 +107,19 @@ class Assignment:
 class AnalysisContext:
     """Pre-computed analyses for one (program, platform) pair.
 
-    Besides the up-front analyses, the context owns the step-1 cost
-    tables that :class:`~repro.core.incremental.IncrementalEvaluator`
-    fills on demand: ``contribution_table`` maps ``(group_key, home
-    layer, selections)`` to its ``GroupContribution`` (``None`` for an
-    illegal chain) and ``link_table`` maps ``(uid, layer, parent
-    layer)`` to its ``LinkContribution``.  Both are pure functions of
-    the context, so every evaluator built on it — one per objective of
-    a sweep — shares them, and they live exactly as long as the context.
+    Besides the up-front analyses, the context owns three tables that
+    fill on demand.  The step-1 cost tables belong to
+    :class:`~repro.core.incremental.IncrementalEvaluator`:
+    ``contribution_table`` maps ``(group_key, home layer, selections)``
+    to its ``GroupContribution`` (``None`` for an illegal chain) and
+    ``link_table`` maps ``(uid, layer, parent layer)`` to its
+    ``LinkContribution``.  ``step2_table`` belongs to
+    :func:`~repro.core.scenarios.step_two`: it maps ``(sort_factor,
+    array_home items, copies items)`` to the ``(TeSchedule, mhla_te
+    CostReport, ideal CostReport)`` of that assignment.  All three are
+    pure functions of the context, so every cell evaluated on it — one
+    per objective of a sweep — shares them, and they live exactly as
+    long as the context.
     """
 
     def __init__(self, program: Program, platform: Platform):
@@ -124,6 +129,7 @@ class AnalysisContext:
         self.deps: DependenceInfo = analyze_dependences(program)
         self.contribution_table: dict = {}
         self.link_table: dict = {}
+        self.step2_table: dict = {}
 
     # ------------------------------------------------------------------
     # group lookups
@@ -223,17 +229,15 @@ class AnalysisContext:
         for group_key, selections in assignment.copies.items():
             nest = self.specs[group_key].group.nest_index
             for uid, layer_name in selections:
-                candidate = self.candidate(uid)
-                factor = 2 if uid in extra_buffer_uids else 1
                 claims.append(
                     SpaceClaim(
                         layer_name=layer_name,
                         interval=Interval(nest, nest),
-                        bytes=candidate.size_bytes * factor,
+                        bytes=self.candidate(uid).size_bytes,
                         tag=f"copy:{uid}",
                     )
                 )
-        return tuple(claims)
+        return double_buffered(tuple(claims), extra_buffer_uids)
 
     def occupancy(
         self,
@@ -252,3 +256,20 @@ class AnalysisContext:
         return self.occupancy(assignment, extra_buffer_uids).fits(
             self.platform.hierarchy
         )
+
+
+def double_buffered(
+    claims: tuple[SpaceClaim, ...], extra_buffer_uids: frozenset[str]
+) -> tuple[SpaceClaim, ...]:
+    """*claims* with the claim of each listed copy at twice its size.
+
+    The TE step builds an assignment's claims once and re-doubles only
+    its extras for each capacity probe.
+    """
+    if not extra_buffer_uids:
+        return claims
+    doubled = {f"copy:{uid}" for uid in extra_buffer_uids}
+    return tuple(
+        replace(claim, bytes=2 * claim.bytes) if claim.tag in doubled else claim
+        for claim in claims
+    )

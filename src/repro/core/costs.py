@@ -98,7 +98,9 @@ def _per_execution_cycles(node: Node, stmt_latency: dict[int, int]) -> float:
 
     Block-transfer stalls are deliberately excluded: this routine is the
     ``compute_loop_cycles()`` of Figure 1 — the work available to *hide*
-    a transfer behind.
+    a transfer behind.  The TE step folds it per crossed loop against
+    one statement-latency table per run, the arithmetic of
+    :func:`iteration_cycles`.
     """
     if isinstance(node, Loop):
         inner = sum(
@@ -113,15 +115,19 @@ def _per_execution_cycles(node: Node, stmt_latency: dict[int, int]) -> float:
 
 
 def stmt_latency_table(
-    ctx: "AnalysisContext", assignment: "Assignment"
+    ctx: "AnalysisContext",
+    assignment: "Assignment",
+    chains: "dict[str, CopyChain] | None" = None,
 ) -> dict[int, int]:
     """Per-statement access latency under the given assignment.
 
     Keyed by ``id(stmt)`` — statement objects are unique within a
     validated program, and both the TE hiding estimate and the simulator
-    walk the same tree objects.
+    walk the same tree objects.  *chains*, when given, must be
+    ``ctx.chains(assignment)``; passing them skips the rebuild.
     """
-    chains = ctx.chains(assignment)
+    if chains is None:
+        chains = ctx.chains(assignment)
     hierarchy = ctx.platform.hierarchy
     table: dict[int, int] = {}
     for context in ctx.program.statement_contexts:
@@ -137,7 +143,11 @@ def iteration_cycles(
     """Cycles of ONE iteration of the named loop (compute + access time).
 
     This is the hiding capacity a time extension gains when it hoists a
-    block transfer across one iteration of that loop.
+    block transfer across one iteration of that loop.  It rebuilds the
+    statement-latency table on every call, so the TE step does not call
+    it: a run builds the table once and folds each crossed loop with
+    the same arithmetic.  It stays the reference that verification
+    replays TE's hidden cycles against.
     """
     loop = ctx.program.loops_by_name.get(loop_name)
     if loop is None:
@@ -500,9 +510,15 @@ def estimate_cost(
     assignment: "Assignment",
     te: "TeSchedule | None" = None,
     ideal: bool = False,
+    chains: "dict[str, CopyChain] | None" = None,
 ) -> CostReport:
-    """Estimate cycles and energy for *assignment* on *ctx*'s platform."""
-    chains = ctx.chains(assignment)
+    """Estimate cycles and energy for *assignment* on *ctx*'s platform.
+
+    *chains*, when given, must be ``ctx.chains(assignment)``; passing
+    them skips the rebuild.
+    """
+    if chains is None:
+        chains = ctx.chains(assignment)
     return fold_contributions(
         ctx,
         (

@@ -16,7 +16,7 @@ construction — the model counts hierarchy accesses only, and TE changes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.assignment import GreedyAssigner, Objective, SearchTrace
 from repro.core.context import AnalysisContext, Assignment
@@ -105,6 +105,44 @@ def run_mhla(
     )
 
 
+def step_two(
+    ctx: AnalysisContext,
+    assignment: Assignment,
+    sort_factor: str = "time_per_size",
+) -> tuple[TeSchedule, CostReport, CostReport]:
+    """Step 2 of *assignment*: its TE schedule and two reports.
+
+    Returns ``(schedule, mhla_te report, ideal report)``.
+
+    Step 2 depends only on the assignment and the sort factor, not on
+    the objective step 1 optimised, so it runs once per distinct
+    ``(sort_factor, array_home items, copies items)`` of a context and
+    is then served from ``ctx.step2_table``.  The key keeps the items'
+    order, so a hit is the very result a fresh run would return, TE's
+    decision order included.  A miss materialises the chains once for
+    the TE run and both reports.  The cached schedule and reports are
+    shared, never mutated, by every cell that hits them.
+    """
+    key = (
+        sort_factor,
+        tuple(assignment.array_home.items()),
+        tuple(assignment.copies.items()),
+    )
+    entry = ctx.step2_table.get(key)
+    if entry is None:
+        chains = ctx.chains(assignment)
+        te = TimeExtensionEngine(ctx, sort_factor=sort_factor).run(
+            assignment, chains
+        )
+        entry = (
+            te,
+            estimate_cost(ctx, assignment, te=te, chains=chains),
+            estimate_cost(ctx, assignment, ideal=True, chains=chains),
+        )
+        ctx.step2_table[key] = entry
+    return entry
+
+
 def run_mhla_te(
     ctx: AnalysisContext,
     objective: Objective = Objective.EDP,
@@ -115,17 +153,19 @@ def run_mhla_te(
 
     Pass the ``mhla`` result as *base* to reuse its assignment (the
     normal flow: "After deciding and placing on memory layers, arrays
-    and copies the step of time extensions is applied").
+    and copies the step of time extensions is applied").  Step 2 goes
+    through :func:`step_two`, so it is shared with every earlier call on
+    *ctx* for the same assignment and *sort_factor*.
     """
     if base is not None:
         assignment, trace = base.assignment, base.trace
     else:
         assignment, trace = GreedyAssigner(ctx, objective=objective).run()
-    te = TimeExtensionEngine(ctx, sort_factor=sort_factor).run(assignment)
+    te, report, _ideal = step_two(ctx, assignment, sort_factor)
     return ScenarioResult(
         scenario="mhla_te",
         app_name=ctx.program.name,
-        report=estimate_cost(ctx, assignment, te=te),
+        report=report,
         assignment=assignment,
         te=te,
         trace=trace,
@@ -167,7 +207,11 @@ def evaluate_scenarios(
     the step-1 search engine (default: the paper's greedy).  Pass a
     prebuilt *ctx* for ``(program, platform)`` to skip the analysis
     rebuild — the context is pure precomputation, so results are
-    identical either way.
+    identical either way.  On a shared *ctx*, step 2 (:func:`step_two`)
+    runs once per distinct assignment and *sort_factor*: a later cell
+    whose search reaches an earlier cell's assignment, in the same
+    order, reuses its schedule and reports, while its own results keep
+    its own assignment and search trace.
     """
     if ctx is None:
         ctx = AnalysisContext(program, platform)
@@ -186,8 +230,10 @@ def evaluate_scenarios(
     results["mhla"] = run_mhla(
         ctx, objective=objective, evaluator=evaluator, assigner=assigner
     )
-    results["mhla_te"] = run_mhla_te(
-        ctx, base=results["mhla"], sort_factor=sort_factor
+    mhla = results["mhla"]
+    te, te_report, ideal_report = step_two(ctx, mhla.assignment, sort_factor)
+    results["mhla_te"] = replace(
+        mhla, scenario="mhla_te", report=te_report, te=te
     )
-    results["ideal"] = run_ideal(ctx, base=results["mhla"])
+    results["ideal"] = replace(mhla, scenario="ideal", report=ideal_report)
     return results

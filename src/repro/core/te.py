@@ -47,9 +47,11 @@ from repro.core.block_transfers import (
     TransferDirection,
     collect_block_transfers,
 )
-from repro.core.context import AnalysisContext, Assignment
-from repro.core.costs import iteration_cycles
+from repro.core.context import AnalysisContext, Assignment, double_buffered
+from repro.core.costs import _per_execution_cycles, stmt_latency_table
 from repro.errors import ScheduleError
+from repro.lifetime.occupancy import SpaceClaim, build_occupancy
+from repro.reuse.chains import CopyChain
 
 SortKey = Callable[[BlockTransfer], float]
 
@@ -155,14 +157,28 @@ class TimeExtensionEngine:
         self.sort_factor_name = sort_factor
         self._sort_key = SORT_FACTORS[sort_factor]
 
-    def run(self, assignment: Assignment) -> TeSchedule:
-        """Compute the time-extension schedule for *assignment*."""
+    def run(
+        self,
+        assignment: Assignment,
+        chains: dict[str, CopyChain] | None = None,
+    ) -> TeSchedule:
+        """Compute the time-extension schedule for *assignment*.
+
+        Each input is built once per run: the chains (or *chains*, which
+        must be ``ctx.chains(assignment)``), the BT list, the
+        assignment's space claims — each capacity probe doubles only the
+        extras' claims — and, at the first crossed loop, the
+        statement-latency table that every crossed loop's per-iteration
+        cycles are folded from.
+        """
         if not self.ctx.platform.supports_te:
             return TeSchedule(decisions={})
+        if chains is None:
+            chains = self.ctx.chains(assignment)
 
         bt_list = [
             bt
-            for bt in collect_block_transfers(self.ctx, assignment)
+            for bt in collect_block_transfers(self.ctx, assignment, chains)
             if bt.direction is TransferDirection.IN
         ]
         # sort(BT_list, BT_sort_factor) — descending: highest stall-per-byte first.
@@ -170,10 +186,11 @@ class TimeExtensionEngine:
 
         decisions: dict[str, TeDecision] = {}
         extras: set[str] = set()
-        loop_cycle_cache: dict[str, float] = {}
+        claims = self.ctx.space_claims(assignment)
+        loop_cycles = _LoopCycles(self.ctx, assignment, chains)
 
         for bt in bt_list:
-            decision = self._extend_one(bt, assignment, extras, loop_cycle_cache)
+            decision = self._extend_one(bt, claims, extras, loop_cycles)
             decisions[bt.copy_uid] = decision
             if decision.extended:
                 extras.add(bt.copy_uid)
@@ -201,9 +218,9 @@ class TimeExtensionEngine:
     def _extend_one(
         self,
         bt: BlockTransfer,
-        assignment: Assignment,
+        claims: tuple[SpaceClaim, ...],
         extras: set[str],
-        loop_cycle_cache: dict[str, float],
+        loop_cycles: "_LoopCycles",
     ) -> TeDecision:
         freedom = self._freedom_loops(bt)
         if not freedom or bt.bt_time == 0:
@@ -220,8 +237,8 @@ class TimeExtensionEngine:
         # Extending at all requires the double buffer to fit: the copy's
         # lifetime grows backwards over the previous iteration, so old
         # and new contents are simultaneously live.
-        trial_extras = frozenset(extras | {bt.copy_uid})
-        if not self.ctx.fits(assignment, trial_extras):
+        trial = double_buffered(claims, frozenset(extras | {bt.copy_uid}))
+        if not build_occupancy(trial).fits(self.ctx.platform.hierarchy):
             return TeDecision(
                 bt_uid=bt.uid,
                 copy_uid=bt.copy_uid,
@@ -235,11 +252,7 @@ class TimeExtensionEngine:
         extended: list[str] = []
         ext_cycles = 0.0
         for loop_name in freedom:
-            if loop_name not in loop_cycle_cache:
-                loop_cycle_cache[loop_name] = iteration_cycles(
-                    self.ctx, assignment, loop_name
-                )
-            ext_cycles += loop_cycle_cache[loop_name]
+            ext_cycles += loop_cycles[loop_name]
             extended.append(loop_name)
             if ext_cycles >= bt.bt_time:
                 break  # fully time extended
@@ -274,3 +287,36 @@ class TimeExtensionEngine:
                 blocked_by_size=decision.blocked_by_size,
                 priority=priority,
             )
+
+
+class _LoopCycles(dict):
+    """Per-iteration cycles of each loop one TE run crosses, by name.
+
+    The run's statement-latency table is built at the first loop, and
+    each loop is folded once as ``_per_execution_cycles(loop, table) /
+    loop.trips`` — the arithmetic of
+    :func:`~repro.core.costs.iteration_cycles`, without its per-call
+    table rebuild.
+    """
+
+    def __init__(
+        self,
+        ctx: AnalysisContext,
+        assignment: Assignment,
+        chains: dict[str, CopyChain],
+    ):
+        super().__init__()
+        self._ctx = ctx
+        self._assignment = assignment
+        self._chains = chains
+        self._stmt_latency: dict[int, int] | None = None
+
+    def __missing__(self, loop_name: str) -> float:
+        if self._stmt_latency is None:
+            self._stmt_latency = stmt_latency_table(
+                self._ctx, self._assignment, self._chains
+            )
+        loop = self._ctx.program.loops_by_name[loop_name]
+        cycles = _per_execution_cycles(loop, self._stmt_latency) / loop.trips
+        self[loop_name] = cycles
+        return cycles

@@ -240,6 +240,65 @@ class TestContextSlot:
         assert len(sweep._CTX_CACHE) <= 1
 
 
+class TestStepTwoTable:
+    """One context runs step 2 once per distinct assignment and sort factor.
+
+    On this recipe two of the three objectives reach the same step-1
+    assignment, and the two sort factors give different schedules for
+    it, so the cells mix table misses, table hits and keys that differ
+    only in the sort factor.
+    """
+
+    RECIPE = ("qsdpcm", PlatformSpec(l1_bytes=kib(1), l2_bytes=kib(16)))
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        app, platform = self.RECIPE
+        return tuple(
+            SweepCell(app, platform, objective, sort_factor=factor)
+            for factor in ("time_per_size", "time")
+            for objective in Objective
+        )
+
+    def test_hits_equal_fresh_contexts_and_keep_their_own_search(
+        self, cells, monkeypatch
+    ):
+        from repro.core import scenarios
+
+        calls = []
+        real_estimate = scenarios.estimate_cost
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "estimate_cost", counted)
+        sweep._CTX_CACHE.clear()
+        keys = set()
+        hits = 0
+        try:
+            for cell in cells:
+                before = len(calls)
+                result, error = sweep._evaluate_cell_warm(cell)
+                evaluated = len(calls) - before
+                assert observable(result, error) == stateless(cell), cell
+                mhla = result.scenario("mhla")
+                key = (
+                    cell.sort_factor,
+                    tuple(mhla.assignment.array_home.items()),
+                    tuple(mhla.assignment.copies.items()),
+                )
+                assert evaluated == (0 if key in keys else 2), cell
+                hits += key in keys
+                keys.add(key)
+                for name in ("mhla_te", "ideal"):
+                    assert result.scenario(name).assignment is mhla.assignment
+                    assert result.scenario(name).trace is mhla.trace
+        finally:
+            sweep._CTX_CACHE.clear()
+        assert hits == 2 and len(keys) == 4
+
+
 class TestCellPickling:
     def test_cells_and_results_survive_pickling(self):
         import pickle

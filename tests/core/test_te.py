@@ -5,13 +5,23 @@ the sort factor, dependence-bounded freedom, size-bounded extension,
 early termination when fully hidden, and dma_priority().
 """
 
-import pytest
+import pathlib
 
-from repro.core.assignment import GreedyAssigner
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.assignment import GreedyAssigner, Objective
+from repro.core.block_transfers import (
+    TransferDirection,
+    collect_block_transfers,
+)
 from repro.core.context import AnalysisContext
 from repro.core.costs import estimate_cost, iteration_cycles
 from repro.core.te import SORT_FACTORS, TeSchedule, TimeExtensionEngine
 from repro.errors import ScheduleError
+from repro.synth import generate_case
+from repro.synth.spec import case_from_json
 
 
 def mhla_assignment(ctx):
@@ -179,3 +189,87 @@ class TestTeSchedule:
         te = TimeExtensionEngine(tiny_me_ctx).run(assignment)
         text = te.summary()
         assert "BTs extended" in text
+
+
+FIXTURE_PATHS = sorted(
+    (pathlib.Path(__file__).parent.parent / "fixtures").glob("synth_case_*.json")
+)
+
+
+def replay_run_inputs(ctx, assignment, sort_factor):
+    """Check a schedule against the public helpers; returns its counts.
+
+    A TE run builds the statement-latency table and the space claims
+    once; each decision must still equal what ``iteration_cycles`` and
+    ``ctx.fits`` give when rebuilt from scratch, in decision order.
+    """
+    engine = TimeExtensionEngine(ctx, sort_factor=sort_factor)
+    te = engine.run(assignment)
+    fills = {
+        bt.copy_uid: bt
+        for bt in collect_block_transfers(ctx, assignment)
+        if bt.direction is TransferDirection.IN
+    }
+    extras: set[str] = set()
+    extended = blocked = 0
+    for uid, decision in te.decisions.items():
+        replayed = 0.0
+        for loop_name in decision.extended_loops:
+            replayed += iteration_cycles(ctx, assignment, loop_name)
+        assert decision.hidden_cycles == replayed, uid
+        bt = fills[uid]
+        if engine._freedom_loops(bt) and bt.bt_time != 0:
+            trial = frozenset(extras | {uid})
+            fits = ctx.fits(assignment, trial)
+            assert decision.blocked_by_size == (not fits), uid
+        else:
+            assert not decision.blocked_by_size, uid
+        if decision.extended:
+            extras.add(uid)
+        extended += decision.extended
+        blocked += decision.blocked_by_size
+    return extended, blocked
+
+
+def case_inputs(spec):
+    """The case's context and its step-1 assignment per objective."""
+    program, platform, _objective = spec.build()
+    ctx = AnalysisContext(program, platform)
+    return ctx, [
+        GreedyAssigner(ctx, objective=objective).run()[0]
+        for objective in Objective
+    ]
+
+
+class TestRunInputs:
+    """Per-run TE inputs agree with the helpers that rebuild them per call.
+
+    Each case runs TE on several assignments of one context, so inputs
+    carried over from an earlier run would show.
+    """
+
+    # generated cases whose runs block a double buffer; no fixture does
+    BLOCKING_SEEDS = (44, 87)
+
+    def test_fixtures_replay_for_every_sort_factor(self):
+        specs = [case_from_json(path.read_text()) for path in FIXTURE_PATHS]
+        specs += [generate_case(seed) for seed in self.BLOCKING_SEEDS]
+        extended = blocked = 0
+        for spec in specs:
+            ctx, assignments = case_inputs(spec)
+            for factor in SORT_FACTORS:
+                for assignment in assignments:
+                    counts = replay_run_inputs(ctx, assignment, factor)
+                    extended += counts[0]
+                    blocked += counts[1]
+        assert extended > 0 and blocked > 0, (extended, blocked)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        factor=st.sampled_from(sorted(SORT_FACTORS)),
+    )
+    def test_synth_programs_replay(self, seed, factor):
+        ctx, assignments = case_inputs(generate_case(seed))
+        for assignment in assignments:
+            replay_run_inputs(ctx, assignment, factor)

@@ -18,7 +18,9 @@ has to be a deliberate, measured choice.
 
 perfbench reaches into ``repro.analysis.sweep`` by attribute and wraps
 functions named by string; both break only when a traced run reaches
-them, so a scan checks every such name still resolves.
+them, so a scan checks every such name still resolves, and one cell
+evaluated under counting wrappers checks that each stage its replay
+spans is still reached through the wrapped name.
 """
 
 import ast
@@ -202,6 +204,28 @@ def _resolves(module_name: str, *attrs: str) -> bool:
     return True
 
 
+def _span_target(node: ast.AST) -> tuple | None:
+    """``(module, owner-or-None, attr, span)`` when *node* is a span target."""
+    if (
+        isinstance(node, ast.Tuple)
+        and len(node.elts) == 4
+        and all(isinstance(elt, ast.Constant) for elt in node.elts)
+        and str(node.elts[0].value).startswith("repro.")
+    ):
+        return tuple(elt.value for elt in node.elts)
+    return None
+
+
+def perfbench_span_targets(root: pathlib.Path, filename: str = "*.py"):
+    """``(file, target)`` of every span target in ``perfbench/<filename>``."""
+    for path in sorted((root / "perfbench").glob(filename)):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            target = _span_target(node)
+            if target is not None:
+                yield path.name, target
+
+
 def dangling_perfbench_names(root: pathlib.Path) -> list[str]:
     """``path:line name`` of every ``src/`` name perfbench uses that is gone.
 
@@ -213,19 +237,15 @@ def dangling_perfbench_names(root: pathlib.Path) -> list[str]:
         tree = ast.parse(path.read_text(), filename=str(path))
         aliases = _sweep_aliases(tree)
         for node in ast.walk(tree):
+            target = _span_target(node)
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in aliases
             ):
                 module, attrs = "repro.analysis.sweep", (node.attr,)
-            elif (
-                isinstance(node, ast.Tuple)
-                and len(node.elts) == 4
-                and all(isinstance(elt, ast.Constant) for elt in node.elts)
-                and str(node.elts[0].value).startswith("repro.")
-            ):
-                module, owner, attr, _span = (elt.value for elt in node.elts)
+            elif target is not None:
+                module, owner, attr, _span = target
                 attrs = (attr,) if owner is None else (owner, attr)
             else:
                 continue
@@ -258,3 +278,40 @@ def test_perfbench_name_scan_sees_attributes_and_span_targets(tmp_path):
         "probe.py:3 repro.analysis.sweep._evaluate_cell_cold",
         "probe.py:6 repro.core.te.TimeExtensionEngine.walk",
     ]
+
+
+def test_a_cell_calls_every_cell_stage_perfbench_wraps(monkeypatch):
+    # perfbench's replay (replay.py) spans a cell's stages by the names
+    # it wraps; a stage that stops calling such a name, say a memo that
+    # routes report calls around scenarios.estimate_cost, would empty
+    # its per-layer metric without any error
+    from repro.analysis import sweep
+    from repro.core.assignment import Objective
+
+    targets = [
+        target
+        for _file, target in perfbench_span_targets(REPO_ROOT, "replay.py")
+    ]
+    assert targets, "perfbench/replay.py declares no span targets"
+    calls = {target: 0 for target in targets}
+    for target in targets:
+        module, owner_name, attr, _span = target
+        owner = importlib.import_module(module)
+        if owner_name is not None:
+            owner = getattr(owner, owner_name)
+
+        def counted(*args, _target=target, _original=getattr(owner, attr),
+                    **kwargs):
+            calls[_target] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    sweep._CTX_CACHE.clear()
+    try:
+        cell = sweep.SweepCell("qsdpcm", sweep.PlatformSpec(), Objective.EDP)
+        result, error = sweep._evaluate_cell_warm(cell)
+    finally:
+        sweep._CTX_CACHE.clear()
+    assert error is None, error
+    uncalled = [target for target, count in calls.items() if count == 0]
+    assert not uncalled, f"a cell never calls these wrapped stages: {uncalled}"
