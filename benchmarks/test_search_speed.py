@@ -298,8 +298,7 @@ def test_search_speed_bench():
             f"{REQUIRED_SPEEDUP}x target"
         )
         app_stats = stats[app_name]
-        lookups = app_stats.cache_hits + app_stats.cache_misses
-        hit_rate = app_stats.cache_hits / lookups if lookups else 0.0
+        hit_rate = app_stats.hit_rate
         entry = record[app_name]
         entry.update(
             speedup=speedup,

@@ -14,7 +14,8 @@ Two fidelity levels exist:
   (:mod:`repro.service.store`).  Every float is preserved exactly
   (JSON uses shortest-round-trip ``repr``), dict iteration orders are
   kept, and the rebuilt :class:`MhlaResult` renders byte-identical
-  report tables to the original.
+  report tables to the original's, bar the search-effort counters,
+  which are not stored: the state is a function of the cell alone.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def _te_from_state(data: dict | None) -> TeSchedule | None:
     )
 
 
+_STORED_STATS = ("rounds", "moves_evaluated", "moves_applied", "cleanup_drops")
+"""The stored :class:`SearchStats` fields; the effort counters in
+states written under key format 2 are ignored."""
+
+
 def _trace_state(trace: SearchTrace | None) -> dict | None:
     if trace is None:
         return None
@@ -220,15 +226,7 @@ def _trace_state(trace: SearchTrace | None) -> dict | None:
         "stats": (
             None
             if stats is None
-            else {
-                "rounds": stats.rounds,
-                "moves_evaluated": stats.moves_evaluated,
-                "moves_applied": stats.moves_applied,
-                "cleanup_drops": stats.cleanup_drops,
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-                "wall_time_s": stats.wall_time_s,
-            }
+            else {name: getattr(stats, name) for name in _STORED_STATS}
         ),
     }
 
@@ -246,15 +244,7 @@ def _trace_from_state(data: dict | None) -> SearchTrace | None:
         stats=(
             None
             if stats is None
-            else SearchStats(
-                rounds=int(stats["rounds"]),
-                moves_evaluated=int(stats["moves_evaluated"]),
-                moves_applied=int(stats["moves_applied"]),
-                cleanup_drops=int(stats["cleanup_drops"]),
-                cache_hits=int(stats["cache_hits"]),
-                cache_misses=int(stats["cache_misses"]),
-                wall_time_s=float(stats["wall_time_s"]),
-            )
+            else SearchStats(**{name: int(stats[name]) for name in _STORED_STATS})
         ),
     )
 

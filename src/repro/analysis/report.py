@@ -74,7 +74,8 @@ def search_stats_table(results: Sequence[MhlaResult]) -> str:
 
     Surfaces the :class:`~repro.core.assignment.SearchStats` block the
     greedy engine records on its trace (moves scored, accepted moves,
-    cleanup drops, evaluator cache hit rate, wall time).
+    cleanup drops, evaluator cache hit rate, wall time); a cached
+    result has no hit rate or wall time, printed as ``-``.
     """
     headers = [
         "app",
@@ -93,8 +94,7 @@ def search_stats_table(results: Sequence[MhlaResult]) -> str:
         if stats is None:
             rows.append([result.app_name] + ["-"] * 7)
             continue
-        lookups = stats.cache_hits + stats.cache_misses
-        hit_rate = stats.cache_hits / lookups if lookups else 0.0
+        hit_rate, wall_time_s = stats.hit_rate, stats.wall_time_s
         rows.append(
             [
                 result.app_name,
@@ -103,8 +103,8 @@ def search_stats_table(results: Sequence[MhlaResult]) -> str:
                 str(stats.rounds),
                 str(stats.moves_applied),
                 str(stats.cleanup_drops),
-                fmt_percent(hit_rate),
-                f"{stats.wall_time_s * 1e3:.1f}",
+                "-" if hit_rate is None else fmt_percent(hit_rate),
+                "-" if wall_time_s is None else f"{wall_time_s * 1e3:.1f}",
             ]
         )
     return format_table(headers, rows)

@@ -75,26 +75,40 @@ def objective_value(report: CostReport, objective: Objective) -> float:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Counters of one search run (surfaced in reports/benchmarks)."""
+    """Counters of one search run (surfaced in reports/benchmarks).
+
+    The last three say how a run went, not what it found: a run fills
+    them in memory; a result read back from the cache has ``None``.
+    """
 
     rounds: int
     moves_evaluated: int
     moves_applied: int
     cleanup_drops: int
-    cache_hits: int
-    cache_misses: int
-    wall_time_s: float
+    cache_hits: int | None = None
+    cache_misses: int | None = None
+    wall_time_s: float | None = None
+
+    @property
+    def hit_rate(self) -> float | None:
+        """Share of lookups served from cache; ``None`` when not recorded."""
+        if self.cache_hits is None:
+            return None
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
 
     def summary(self) -> str:
         """One-line digest for reports."""
-        total = self.cache_hits + self.cache_misses
-        hit_rate = self.cache_hits / total if total else 0.0
-        return (
+        line = (
             f"search: {self.moves_evaluated} moves scored in {self.rounds} "
             f"rounds, {self.moves_applied} applied, {self.cleanup_drops} "
-            f"cleanup drops, cache hit rate {hit_rate:.0%}, "
-            f"{self.wall_time_s * 1e3:.1f} ms"
+            f"cleanup drops"
         )
+        if self.hit_rate is not None:
+            line += f", cache hit rate {self.hit_rate:.0%}"
+        if self.wall_time_s is not None:
+            line += f", {self.wall_time_s * 1e3:.1f} ms"
+        return line
 
 
 @dataclass(frozen=True)

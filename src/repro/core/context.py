@@ -107,9 +107,9 @@ class Assignment:
 class AnalysisContext:
     """Pre-computed analyses for one (program, platform) pair.
 
-    Besides the up-front analyses, the context owns three tables that
-    fill on demand.  The step-1 cost tables belong to
-    :class:`~repro.core.incremental.IncrementalEvaluator`:
+    Besides the up-front analyses and :attr:`compute_cycles`, the
+    context owns three tables that fill on demand.  The step-1 cost
+    tables belong to :class:`~repro.core.incremental.IncrementalEvaluator`:
     ``contribution_table`` maps ``(group_key, home layer, selections)``
     to its ``GroupContribution`` (``None`` for an illegal chain) and
     ``link_table`` maps ``(uid, layer, parent layer)`` to its
@@ -134,6 +134,11 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # group lookups
     # ------------------------------------------------------------------
+
+    @cached_property
+    def compute_cycles(self) -> float:
+        """The program's compute cycles, walked once per context."""
+        return float(self.program.compute_cycles())
 
     @cached_property
     def groups(self) -> tuple[RefGroup, ...]:

@@ -483,7 +483,7 @@ def fold_contributions(
             record.dma_read_words += dma_r
             record.dma_write_words += dma_w
 
-    compute = float(ctx.program.compute_cycles())
+    compute = ctx.compute_cycles
     total_cycles = (
         compute + cpu_access_cycles + stall_cycles + copy_cpu_cycles
     )

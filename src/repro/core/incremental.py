@@ -18,10 +18,10 @@ groups):
   tables themselves live on the
   :class:`~repro.core.context.AnalysisContext` (they are pure functions
   of it), so evaluators sharing a context — the three objectives of one
-  sweep cell recipe — build each contribution once.  Each evaluator
-  keeps a first-level dict over them only for its own hit/miss
-  counters: a miss is the first lookup of a key *by that evaluator*,
-  so the counters do not depend on what other evaluators did.
+  sweep cell recipe — build each contribution once.  An evaluator
+  looks a key up in the context table only; its hit/miss counters
+  count those lookups, so a miss is the lookup that built the entry and
+  the misses of all evaluators on one context sum to the table's size.
 * :class:`OccupancyLedger` keeps a mutable per-layer, per-timeline-step
   byte count so capacity feasibility of a move is answered by checking
   a single claim delta against the touched steps instead of rebuilding
@@ -57,13 +57,6 @@ class EvalStats:
 
     hits: int = 0
     misses: int = 0
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when none)."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
 
 
 class OccupancyLedger:
@@ -166,16 +159,13 @@ class IncrementalEvaluator:
     contributions for the rest.  An illegal chain is cached as
     ``None`` so legality probes are one dict hit as well.  Contributions
     are built into the context's shared tables (see the module
-    docstring); :attr:`stats` counts this evaluator's own lookups.
+    docstring); :attr:`stats` counts this evaluator's lookups in them.
     """
 
     def __init__(self, ctx: AnalysisContext):
         self.ctx = ctx
         self.stats = EvalStats()
-        self._contribs: dict[
-            tuple[str, str, Selections], GroupContribution | None
-        ] = {}
-        self.compute_cycles = float(ctx.program.compute_cycles())
+        self.compute_cycles = ctx.compute_cycles
         self._live_intervals = {
             name: ctx.program.live_interval(name) for name in ctx.program.arrays
         }
@@ -246,27 +236,19 @@ class IncrementalEvaluator:
     ) -> GroupContribution | None:
         """Memoised group contribution, ``None`` when the chain is illegal.
 
-        A key this evaluator has not looked up before counts as a miss
-        and is taken from the context's shared table, or built into it
-        when no evaluator on the context has needed it yet.  An unknown
-        candidate uid raises ``KeyError``: that is a caller bug, not an
-        illegal move.
+        A key already in the context's shared table counts as a hit; a
+        miss builds the entry there.  An unknown candidate uid raises
+        ``KeyError``: that is a caller bug, not an illegal move.
         """
         key = (group_key, home_layer, selections)
-        cache = self._contribs
-        if key in cache:
+        table = self.ctx.contribution_table
+        if key in table:
             self.stats.hits += 1
-            return cache[key]
+            return table[key]
         self.stats.misses += 1
-        shared = self.ctx.contribution_table
-        if key in shared:
-            contribution = shared[key]
-        else:
-            contribution = self._build_contribution(
-                group_key, home_layer, selections
-            )
-            shared[key] = contribution
-        cache[key] = contribution
+        contribution = table[key] = self._build_contribution(
+            group_key, home_layer, selections
+        )
         return contribution
 
     def _build_contribution(

@@ -10,6 +10,7 @@ included.
 
 import pytest
 
+from repro.analysis.export import result_state_json
 from repro.analysis.pool import (
     BATCHES_PER_WORKER,
     PersistentPool,
@@ -97,26 +98,11 @@ class TestWarmPoolSweepIdentity:
 
     @staticmethod
     def _fingerprint(outcomes):
-        """Everything observable about a sweep except wall-clock times."""
-        rows = []
-        for outcome in outcomes:
-            result = outcome.result
-            trace = result.scenario("mhla").trace
-            rows.append(
-                (
-                    outcome.cell,
-                    outcome.error,
-                    {n: result.scenario(n).cycles for n in result.scenarios},
-                    {n: result.scenario(n).energy_nj for n in result.scenarios},
-                    result.scenario("mhla").assignment.copies,
-                    result.scenario("mhla").assignment.array_home,
-                    trace.steps,
-                    trace.final_value,
-                    trace.stats.cache_hits,
-                    trace.stats.cache_misses,
-                )
-            )
-        return rows
+        """Everything observable about a sweep: each cell's lossless state."""
+        return [
+            (outcome.cell, outcome.error, result_state_json(outcome.result))
+            for outcome in outcomes
+        ]
 
     def test_repeated_warm_pool_matches_serial(self, grid):
         serial = self._fingerprint(ParallelSweepRunner(jobs=1).run(grid))

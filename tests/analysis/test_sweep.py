@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.analysis import sweep
-from repro.analysis.export import result_to_dict, result_to_state
+from repro.analysis.export import result_state_json, result_to_dict
 from repro.analysis.sweep import (
     DEFAULT_PLATFORM_SPECS,
     ParallelSweepRunner,
@@ -22,19 +22,15 @@ from repro.units import kib
 
 
 def observable(result, error):
-    """Everything a cell reports except wall-clock time.
+    """Everything a cell reports: summary, whole lossless state, error.
 
-    The lossless state carries the search counters (``moves_evaluated``,
-    ``cache_hits``, ``cache_misses``) that ``result_to_dict`` leaves out.
+    The lossless state carries what ``result_to_dict`` leaves out (the
+    search trace and its ``moves_evaluated``); it is a function of the
+    cell alone, so it is compared whole.
     """
     if result is None:
         return None, error
-    state = result_to_state(result)
-    for scenario in state["scenarios"].values():
-        trace = scenario["trace"]
-        if trace is not None and trace["stats"] is not None:
-            del trace["stats"]["wall_time_s"]
-    return result_to_dict(result), state, error
+    return result_to_dict(result), result_state_json(result), error
 
 
 def stateless(cell):

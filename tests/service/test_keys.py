@@ -137,7 +137,7 @@ class TestCellKeys:
             objective=Objective.EDP,
         )
         assert cell_key(cell) == (
-            "062aa676c24e7c6f45ce422385f272850b21fc777dbf5bee570af8984ba2111e"
+            "b73bf543917ff859df94e97fef0c84e25073714bce341b924243941f1d958935"
         )
 
 

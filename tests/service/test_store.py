@@ -47,7 +47,28 @@ class TestStateRoundTrip:
             json.loads(result_state_json(result))
         )
         assert scenario_table([rebuilt]) == scenario_table([result])
-        assert search_stats_table([rebuilt]) == search_stats_table([result])
+        # the effort columns are not stored: a rebuilt result prints "-"
+        fresh = search_stats_table([result]).splitlines()
+        cached = search_stats_table([rebuilt]).splitlines()
+        assert cached[:2] == fresh[:2]
+        assert cached[2].split()[:-2] == fresh[2].split()[:-2]
+        assert cached[2].split()[-2:] == ["-", "-"]
+
+    def test_key_format_2_state_still_rebuilds(self, result, tmp_path):
+        # records written before the effort counters left the state
+        # stay readable (and pass a deep verify) until gc ages them out
+        old = result_to_state(result)
+        for scenario in old["scenarios"].values():
+            stats = scenario["trace"] and scenario["trace"]["stats"]
+            if stats is not None:
+                stats.update(cache_hits=5, cache_misses=7, wall_time_s=0.01)
+        rebuilt = result_from_state(json.loads(json.dumps(old)))
+        assert result_state_json(rebuilt) == result_state_json(result)
+        store = ResultStore(tmp_path)
+        store.put("0" * 64, KIND_RESULT, old)
+        report = ResultStore(tmp_path).verify(deep=True)
+        assert report["deep_checked"] == 1
+        assert report["deep_failures"] == []
 
     def test_rebuilt_metrics_bit_identical(self, result):
         rebuilt = result_from_state(json.loads(result_state_json(result)))

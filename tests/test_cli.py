@@ -149,6 +149,17 @@ class TestSubcommands:
         assert "moves scored" in out
         assert "cache hit rate" in out
 
+    def test_cached_run_prints_the_same_twice(self, capsys, tmp_path):
+        # the second run is a cache hit; the effort counters are not
+        # stored, so neither run prints them
+        argv = ["run", "voice_coder", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert "moves scored" in first
+        assert "cache hit rate" not in first
+
     def test_simulate(self, capsys):
         assert main(["simulate", "voice_coder"]) == 0
         out = capsys.readouterr().out

@@ -20,7 +20,9 @@ perfbench reaches into ``repro.analysis.sweep`` by attribute and wraps
 functions named by string; both break only when a traced run reaches
 them, so a scan checks every such name still resolves, and one cell
 evaluated under counting wrappers checks that each stage its replay
-spans is still reached through the wrapped name.
+spans is still reached through the wrapped name.  Its replay also reads
+the search counters off each result in-process, so one cell is
+replayed through it in a subprocess.
 """
 
 import ast
@@ -174,6 +176,36 @@ def test_serving_a_cell_never_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+REPLAY_PROBE = """
+from perfbench.inputs import grid_cells
+from perfbench.replay import replay_cells
+from perfbench.spans import SpanRecorder
+counters = replay_cells(grid_cells(1)[:1], SpanRecorder())
+assert counters.errors == [], counters.errors
+assert counters.moves_evaluated > 0, counters
+assert counters.cache_hits + counters.cache_misses > 0, counters
+"""
+
+
+def test_perfbench_replay_reads_counters_a_cell_records():
+    # perfbench may not change with src/, and no other test runs its
+    # replay: a counter it reads (SearchStats.cache_hits, cache_misses,
+    # moves_evaluated; TeSchedule.extended_count) must stay on a result
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", REPLAY_PROBE],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _sweep_aliases(tree: ast.AST) -> set[str]:
