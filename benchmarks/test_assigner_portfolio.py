@@ -36,7 +36,6 @@ from repro.apps import build_app
 from repro.core.assignment import GreedyAssigner, Objective
 from repro.core.context import AnalysisContext
 from repro.core.exhaustive import ExhaustiveAssigner
-from repro.core.incremental import IncrementalEvaluator
 from repro.errors import AssignmentError
 from repro.search import (
     AssignerSpec,
@@ -80,10 +79,7 @@ def _run_corpus(budget: int) -> dict:
     case_rows = []
     oracle_checked = 0
     for label, ctx, objective in _cases():
-        evaluator = IncrementalEvaluator(ctx)
-        _greedy, greedy_trace = GreedyAssigner(
-            ctx, objective=objective, evaluator=evaluator
-        ).run()
+        _greedy, greedy_trace = GreedyAssigner(ctx, objective=objective).run()
         greedy_value = greedy_trace.final_value
 
         runner = PortfolioRunner(
@@ -91,7 +87,6 @@ def _run_corpus(budget: int) -> dict:
             objective=objective,
             budget=SearchBudget(nodes=budget),
             seed=0,
-            evaluator=evaluator,
         )
         assignment, trace = runner.run()
         ctx.chains(assignment)  # legality is a precondition, not a metric

@@ -14,12 +14,13 @@ The runner keeps the current recipe's ``(program, platform,
 AnalysisContext)`` in a single slot: grid cells arrive app-major, so a
 contiguous batch is a run of cells sharing an (app, platform) pair and
 the expensive analysis precomputation happens once per run instead of
-once per cell.  The context also carries the step-1 contribution
-tables, which are pure functions of it, so the objectives of one
-recipe build each group contribution once.  Each cell still gets a
-fresh :class:`~repro.core.incremental.IncrementalEvaluator` whose
-hit/miss counters count only its own lookups, so cached-context
-results (those counters included) are byte-identical to cold ones.
+once per cell.  The context also carries its one
+:class:`~repro.core.incremental.IncrementalEvaluator`, whose step-1
+contribution tables are pure functions of it, so the objectives of one
+recipe build each group contribution once.  A search's hit/miss
+counters are the change of that evaluator's counters over the run and
+are never stored, so cached-context results are byte-identical to
+cold ones.
 
 Determinism: cells are picklable *recipes* (app name + platform
 parameters + objective), workers rebuild the program/platform from the
@@ -205,10 +206,9 @@ def _cached_context(cell: SweepCell):
 
     Lives in the process across cells and batches (module globals
     survive between pool tasks), so consecutive cells of one recipe pay
-    for one analysis build, and their evaluators share the context's
-    contribution tables.  A new recipe replaces the slot, tables
-    included; evaluators are not cached, because their hit/miss
-    counters are part of the result and count per evaluator.
+    for one analysis build and share the context's evaluator and its
+    tables.  A new recipe replaces the slot, evaluator and tables
+    included.
     """
     from repro.core.context import AnalysisContext
 
@@ -235,9 +235,8 @@ def _evaluate_cell_warm(
     """The runner's cell body, serial and pooled: never raises.
 
     Byte-identical results to :func:`_evaluate_cell_guarded` — the
-    cached context and its tables are pure precomputation and the
-    evaluator is rebuilt per cell inside
-    :meth:`~repro.core.mhla.Mhla.explore`.
+    cached context, its evaluator and their tables are pure
+    precomputation.
     """
     try:
         with _maybe_profile_cell(cell):

@@ -311,27 +311,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.core.assignment import GreedyAssigner
     from repro.core.context import AnalysisContext
-    from repro.core.incremental import IncrementalEvaluator
     from repro.search import PortfolioRunner, build_assigner
 
     program = build_app(args.app)
     platform = embedded_3layer(l1_bytes=kib(args.l1_kib), l2_bytes=kib(args.l2_kib))
     objective = Objective(args.objective)
     ctx = AnalysisContext(program, platform)
-    evaluator = IncrementalEvaluator(ctx)
     import time as _time
 
     started = _time.perf_counter()
     _greedy_assignment, greedy_trace = GreedyAssigner(
-        ctx, objective=objective, evaluator=evaluator
+        ctx, objective=objective
     ).run()
     greedy_s = _time.perf_counter() - started
     greedy_value = greedy_trace.final_value
 
     spec = _assigner_spec(args)
-    engine = build_assigner(
-        ctx, objective=objective, spec=spec, evaluator=evaluator
-    )
+    engine = build_assigner(ctx, objective=objective, spec=spec)
     started = _time.perf_counter()
     assignment, trace = engine.run()
     engine_s = _time.perf_counter() - started

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import CostReport, estimate_cost
-from repro.core.incremental import IncrementalEvaluator
 from repro.core.state import (
     AddCopy,
     DropCopy,
@@ -78,7 +77,14 @@ class SearchStats:
     """Counters of one search run (surfaced in reports/benchmarks).
 
     The last three say how a run went, not what it found: a run fills
-    them in memory; a result read back from the cache has ``None``.
+    them in memory, they are never stored or served, and a result read
+    back from the cache has ``None``.  ``cache_hits`` and
+    ``cache_misses`` are the run's lookups on its context's evaluator
+    (``ctx.evaluator``), the change of that evaluator's counters over
+    the run.  They are exact when searches on a context run one at a
+    time, as on every CLI path, in perfbench's replay and in every
+    test; two flushes that run at once in one ``--jobs 1`` server on
+    the same context share them.
     """
 
     rounds: int
@@ -146,11 +152,9 @@ class GreedyAssigner:
         (default).  The monolithic path re-estimates every trial from
         scratch and exists as the bit-identical reference for
         equivalence tests and speedup benchmarks.
-    evaluator:
-        Optionally share a pre-warmed :class:`IncrementalEvaluator`
-        (e.g. across the scenario runner) instead of building a fresh
-        one.  Cache counters on a shared evaluator accumulate across
-        runs.
+
+    The incremental path scores through the context's one evaluator,
+    ``ctx.evaluator``; the run's cache counters are its lookups there.
     """
 
     def __init__(
@@ -159,16 +163,11 @@ class GreedyAssigner:
         objective: Objective = Objective.EDP,
         allow_home_moves: bool = True,
         use_incremental: bool = True,
-        evaluator: IncrementalEvaluator | None = None,
     ):
         self.ctx = ctx
         self.objective = objective
         self.allow_home_moves = allow_home_moves
         self.use_incremental = use_incremental
-        if not use_incremental:
-            self.evaluator = None  # the monolithic reference path
-        else:
-            self.evaluator = evaluator or IncrementalEvaluator(ctx)
         self._moves_evaluated = 0
 
     def run(self) -> tuple[Assignment, SearchTrace]:
@@ -180,13 +179,12 @@ class GreedyAssigner:
                 "even the out-of-the-box placement violates capacity; "
                 "the off-chip layer must be unbounded"
             )
-        evaluator = self.evaluator
-        hits_before = evaluator.stats.hits if evaluator else 0
-        misses_before = evaluator.stats.misses if evaluator else 0
-        if evaluator is None:
-            walk = _ReferenceState(self.ctx, self.objective, assignment)
+        counters = self.ctx.evaluator.stats
+        hits_before, misses_before = counters.hits, counters.misses
+        if self.use_incremental:
+            walk = SearchState(self.ctx, self.objective, assignment)
         else:
-            walk = SearchState(self.ctx, self.objective, evaluator, assignment)
+            walk = _ReferenceState(self.ctx, self.objective, assignment)
         self._moves_evaluated = 1  # the starting point
         value = initial_value = walk.value
         steps: list[str] = []
@@ -229,10 +227,8 @@ class GreedyAssigner:
             moves_evaluated=self._moves_evaluated,
             moves_applied=applied,
             cleanup_drops=len(steps) - applied,
-            cache_hits=evaluator.stats.hits - hits_before if evaluator else 0,
-            cache_misses=(
-                evaluator.stats.misses - misses_before if evaluator else 0
-            ),
+            cache_hits=counters.hits - hits_before,
+            cache_misses=counters.misses - misses_before,
             wall_time_s=time.perf_counter() - started,
         )
         trace = SearchTrace(

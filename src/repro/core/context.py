@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.errors import ValidationError
 from repro.ir.dependences import DependenceInfo, analyze_dependences
@@ -26,6 +27,9 @@ from repro.reuse.candidates import (
     enumerate_candidates,
 )
 from repro.reuse.chains import CopyChain, chain_of
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.incremental import IncrementalEvaluator
 
 
 @dataclass
@@ -108,18 +112,15 @@ class AnalysisContext:
     """Pre-computed analyses for one (program, platform) pair.
 
     Besides the up-front analyses and :attr:`compute_cycles`, the
-    context owns three tables that fill on demand.  The step-1 cost
-    tables belong to :class:`~repro.core.incremental.IncrementalEvaluator`:
-    ``contribution_table`` maps ``(group_key, home layer, selections)``
-    to its ``GroupContribution`` (``None`` for an illegal chain) and
-    ``link_table`` maps ``(uid, layer, parent layer)`` to its
-    ``LinkContribution``.  ``step2_table`` belongs to
-    :func:`~repro.core.scenarios.step_two`: it maps ``(sort_factor,
-    array_home items, copies items)`` to the ``(TeSchedule, mhla_te
-    CostReport, ideal CostReport)`` of that assignment.  All three are
-    pure functions of the context, so every cell evaluated on it — one
-    per objective of a sweep — shares them, and they live exactly as
-    long as the context.
+    context owns two things that fill on demand.  :attr:`evaluator` is
+    the context's one :class:`~repro.core.incremental.IncrementalEvaluator`,
+    which holds the step-1 contribution and link tables.
+    ``step2_table`` belongs to :func:`~repro.core.scenarios.step_two`:
+    it maps ``(sort_factor, array_home items, copies items)`` to the
+    ``(TeSchedule, mhla_te CostReport, ideal CostReport)`` of that
+    assignment.  Both are pure functions of the context, so every cell
+    evaluated on it — one per objective of a sweep — shares them, and
+    they live exactly as long as the context.
     """
 
     def __init__(self, program: Program, platform: Platform):
@@ -127,13 +128,22 @@ class AnalysisContext:
         self.platform = platform
         self.specs: dict[str, CandidateChainSpec] = enumerate_candidates(program)
         self.deps: DependenceInfo = analyze_dependences(program)
-        self.contribution_table: dict = {}
-        self.link_table: dict = {}
         self.step2_table: dict = {}
 
     # ------------------------------------------------------------------
     # group lookups
     # ------------------------------------------------------------------
+
+    @cached_property
+    def evaluator(self) -> IncrementalEvaluator:
+        """The context's :class:`~repro.core.incremental.IncrementalEvaluator`.
+
+        Built on first use; every search on the context scores through
+        it, so they share its tables.
+        """
+        from repro.core.incremental import IncrementalEvaluator
+
+        return IncrementalEvaluator(self)
 
     @cached_property
     def compute_cycles(self) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.core.assignment import Objective, objective_value
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import GroupContribution, fold_objective_totals
-from repro.core.incremental import IncrementalEvaluator, OccupancyLedger
+from repro.core.incremental import OccupancyLedger
 from repro.errors import AssignmentError, ValidationError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.reuse.candidates import CandidateChainSpec
@@ -120,9 +120,9 @@ class ExhaustiveAssigner:
     prune:
         Use branch-and-bound (default).  Disable to run the historical
         full enumeration, e.g. as the oracle in equivalence tests.
-    evaluator:
-        Optionally share a pre-warmed
-        :class:`~repro.core.incremental.IncrementalEvaluator`.
+
+    Options are costed through the context's one evaluator,
+    ``ctx.evaluator``.
     """
 
     def __init__(
@@ -132,14 +132,13 @@ class ExhaustiveAssigner:
         include_home_moves: bool = False,
         max_states: int = 200_000,
         prune: bool = True,
-        evaluator: IncrementalEvaluator | None = None,
     ):
         self.ctx = ctx
         self.objective = objective
         self.include_home_moves = include_home_moves
         self.max_states = max_states
         self.prune = prune
-        self.evaluator = evaluator or IncrementalEvaluator(ctx)
+        self.evaluator = ctx.evaluator
 
     # ------------------------------------------------------------------
     # option enumeration (shared by both modes)

@@ -67,7 +67,7 @@ class FrontierScorer:
         canonical order.
     compute_cycles:
         The assignment-independent compute-cycle total folded into the
-        cycles result (``IncrementalEvaluator.compute_cycles``).
+        cycles result (``AnalysisContext.compute_cycles``).
     """
 
     __slots__ = ("compute_cycles", "groups", "_terms", "_offsets", "_prefix")

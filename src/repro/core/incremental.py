@@ -14,14 +14,14 @@ groups):
   an assignment folds the cached contributions in canonical group
   order, which is bit-identical to a from-scratch
   :func:`~repro.core.costs.estimate_cost` because contributions store
-  their cost terms in accumulation order.  The contribution and link
-  tables themselves live on the
-  :class:`~repro.core.context.AnalysisContext` (they are pure functions
-  of it), so evaluators sharing a context — the three objectives of one
-  sweep cell recipe — build each contribution once.  An evaluator
-  looks a key up in the context table only; its hit/miss counters
-  count those lookups, so a miss is the lookup that built the entry and
-  the misses of all evaluators on one context sum to the table's size.
+  their cost terms in accumulation order.  Each
+  :class:`~repro.core.context.AnalysisContext` has exactly one
+  evaluator (:attr:`~repro.core.context.AnalysisContext.evaluator`),
+  and its contribution and link tables are pure functions of that
+  context, so every search on the context — the three objectives of
+  one sweep cell recipe — builds each contribution once.  The hit/miss
+  counters count lookups in the contribution table, so a miss is the
+  lookup that built an entry and the misses sum to the table's size.
 * :class:`OccupancyLedger` keeps a mutable per-layer, per-timeline-step
   byte count so capacity feasibility of a move is answered by checking
   a single claim delta against the touched steps instead of rebuilding
@@ -33,6 +33,7 @@ independent, and chain validation depends only on the cache key.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
@@ -157,14 +158,23 @@ class IncrementalEvaluator:
     sequence of ``with_copy`` / ``without_copy`` / ``with_home`` moves
     re-scores only the touched group(s) and reuses cached
     contributions for the rest.  An illegal chain is cached as
-    ``None`` so legality probes are one dict hit as well.  Contributions
-    are built into the context's shared tables (see the module
-    docstring); :attr:`stats` counts this evaluator's lookups in them.
+    ``None`` so legality probes are one dict hit as well.
+
+    ``contribution_table`` maps ``(group_key, home layer, selections)``
+    to its :class:`~repro.core.costs.GroupContribution` (``None`` for an
+    illegal chain) and ``link_table`` maps ``(uid, layer, parent
+    layer)`` to its :class:`~repro.core.costs.LinkContribution`;
+    :attr:`stats` counts lookups in the first.  Searches read the one
+    evaluator of their context (see the module docstring).
     """
 
     def __init__(self, ctx: AnalysisContext):
-        self.ctx = ctx
+        # weak: the context owns its evaluator, and a strong reference
+        # back would leave every retired context to the cyclic collector
+        self.ctx = weakref.proxy(ctx)
         self.stats = EvalStats()
+        self.contribution_table: dict = {}
+        self.link_table: dict = {}
         self.compute_cycles = ctx.compute_cycles
         self._live_intervals = {
             name: ctx.program.live_interval(name) for name in ctx.program.arrays
@@ -216,7 +226,7 @@ class IncrementalEvaluator:
     ) -> LinkContribution:
         """Memoised per-link cost (search path: no TE hiding)."""
         key = (uid, layer_name, parent_name)
-        links = self.ctx.link_table
+        links = self.link_table
         cached = links.get(key)
         if cached is not None:
             return cached
@@ -236,12 +246,12 @@ class IncrementalEvaluator:
     ) -> GroupContribution | None:
         """Memoised group contribution, ``None`` when the chain is illegal.
 
-        A key already in the context's shared table counts as a hit; a
+        A key already in :attr:`contribution_table` counts as a hit; a
         miss builds the entry there.  An unknown candidate uid raises
         ``KeyError``: that is a caller bug, not an illegal move.
         """
         key = (group_key, home_layer, selections)
-        table = self.ctx.contribution_table
+        table = self.contribution_table
         if key in table:
             self.stats.hits += 1
             return table[key]

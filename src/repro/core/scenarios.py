@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from repro.core.assignment import GreedyAssigner, Objective, SearchTrace
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import CostReport, estimate_cost
-from repro.core.incremental import IncrementalEvaluator
 from repro.core.te import TeSchedule, TimeExtensionEngine
 from repro.errors import ValidationError
 from repro.ir.program import Program
@@ -54,20 +53,13 @@ class ScenarioResult:
         return self.report.energy_nj
 
 
-def run_out_of_box(
-    ctx: AnalysisContext, evaluator: IncrementalEvaluator | None = None
-) -> ScenarioResult:
+def run_out_of_box(ctx: AnalysisContext) -> ScenarioResult:
     """Baseline: all arrays off-chip, no copies, no transfers."""
     assignment = ctx.out_of_box_assignment()
-    report = (
-        evaluator.report(assignment)
-        if evaluator is not None
-        else estimate_cost(ctx, assignment)
-    )
     return ScenarioResult(
         scenario="oob",
         app_name=ctx.program.name,
-        report=report,
+        report=ctx.evaluator.report(assignment),
         assignment=assignment,
     )
 
@@ -75,31 +67,25 @@ def run_out_of_box(
 def run_mhla(
     ctx: AnalysisContext,
     objective: Objective = Objective.EDP,
-    evaluator: IncrementalEvaluator | None = None,
     assigner: AssignerSpec | None = None,
 ) -> ScenarioResult:
     """Step 1 only: selection + assignment search, unhidden transfers.
 
-    Pass a shared *evaluator* to reuse the search's cached per-group
-    contributions for the report (the folded report is bit-identical
-    to a fresh ``estimate_cost``).  *assigner* picks the search engine
-    (:mod:`repro.search.registry`); the default greedy spec runs the
-    historical :class:`GreedyAssigner` byte-identically.
+    The report folds the search's cached per-group contributions from
+    ``ctx.evaluator`` (bit-identical to a fresh ``estimate_cost``).
+    *assigner* picks the search engine (:mod:`repro.search.registry`);
+    the default greedy spec runs the historical :class:`GreedyAssigner`
+    byte-identically.
     """
     from repro.search.registry import build_assigner
 
     assignment, trace = build_assigner(
-        ctx, objective=objective, spec=assigner, evaluator=evaluator
+        ctx, objective=objective, spec=assigner
     ).run()
-    report = (
-        evaluator.report(assignment)
-        if evaluator is not None
-        else estimate_cost(ctx, assignment)
-    )
     return ScenarioResult(
         scenario="mhla",
         app_name=ctx.program.name,
-        report=report,
+        report=ctx.evaluator.report(assignment),
         assignment=assignment,
         trace=trace,
     )
@@ -224,12 +210,9 @@ def evaluate_scenarios(
             f"program {program.name!r} has no reference groups (no array "
             "accesses); scenario evaluation would be degenerate"
         )
-    evaluator = IncrementalEvaluator(ctx)
     results: dict[str, ScenarioResult] = {}
-    results["oob"] = run_out_of_box(ctx, evaluator=evaluator)
-    results["mhla"] = run_mhla(
-        ctx, objective=objective, evaluator=evaluator, assigner=assigner
-    )
+    results["oob"] = run_out_of_box(ctx)
+    results["mhla"] = run_mhla(ctx, objective=objective, assigner=assigner)
     mhla = results["mhla"]
     te, te_report, ideal_report = step_two(ctx, mhla.assignment, sort_factor)
     results["mhla_te"] = replace(

@@ -2,7 +2,8 @@
 
 A search walks a long trajectory of small moves and needs O(delta)
 *score*, *apply* and *undo* on top of the O(delta) contribution
-lookups the :class:`~repro.core.incremental.IncrementalEvaluator`
+lookups its context's one
+:class:`~repro.core.incremental.IncrementalEvaluator` (``ctx.evaluator``)
 gives.  :class:`SearchState` packages exactly that:
 
 * the current :class:`~repro.core.context.Assignment` (replaced, never
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.frontier import FrontierScorer
-from repro.core.incremental import IncrementalEvaluator, OccupancyLedger
+from repro.core.incremental import OccupancyLedger
 from repro.errors import ValidationError
 
 __all__ = [
@@ -140,24 +141,22 @@ class SearchState:
     objective:
         Metric the engines minimise; :attr:`value` is its scalar for
         the current assignment.
-    evaluator:
-        Optionally share a pre-warmed evaluator — the portfolio runs
-        every strategy over one evaluator so contribution caches warm
-        across strategies.
     assignment:
         Starting point (default: the out-of-the-box placement).
+
+    Every state on *ctx* scores through ``ctx.evaluator``, so the
+    contribution tables warm across states, engines and strategies.
     """
 
     def __init__(
         self,
         ctx: AnalysisContext,
         objective: Objective = Objective.EDP,
-        evaluator: IncrementalEvaluator | None = None,
         assignment: Assignment | None = None,
     ):
         self.ctx = ctx
         self.objective = objective
-        self.evaluator = evaluator or IncrementalEvaluator(ctx)
+        self.evaluator = ctx.evaluator
         self.assignment = (
             assignment if assignment is not None else ctx.out_of_box_assignment()
         )

@@ -37,7 +37,7 @@ from repro.core.assignment import (
 )
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.exhaustive import ExhaustiveAssigner
-from repro.core.incremental import IncrementalEvaluator
+from repro.core.incremental import EvalStats
 from repro.core.state import SearchState
 from repro.errors import AssignmentError
 from repro.obs import trace as obs_trace
@@ -74,7 +74,7 @@ def fold_search_stats(
     greedy_stats: SearchStats | None,
     extra_nodes: int,
     extra_applied: int,
-    evaluator: IncrementalEvaluator,
+    counters: EvalStats,
     hits_before: int,
     misses_before: int,
     started: float,
@@ -92,8 +92,8 @@ def fold_search_stats(
         moves_applied=extra_applied
         + (greedy_stats.moves_applied if greedy_stats else 0),
         cleanup_drops=greedy_stats.cleanup_drops if greedy_stats else 0,
-        cache_hits=evaluator.stats.hits - hits_before,
-        cache_misses=evaluator.stats.misses - misses_before,
+        cache_hits=counters.hits - hits_before,
+        cache_misses=counters.misses - misses_before,
         wall_time_s=time.perf_counter() - started,
     )
 
@@ -188,8 +188,6 @@ class SearchEngine:
         not charged against it).
     seed:
         RNG seed (fixed seed == byte-identical run).
-    evaluator:
-        Optionally share a pre-warmed evaluator across engines.
     initial:
         Optional warm-start assignment + its trace (the portfolio runs
         greedy once and hands the incumbent to every member instead of
@@ -204,14 +202,13 @@ class SearchEngine:
         objective: Objective = Objective.EDP,
         budget: SearchBudget | None = None,
         seed: int = 0,
-        evaluator: IncrementalEvaluator | None = None,
         initial: tuple[Assignment, SearchTrace] | None = None,
     ):
         self.ctx = ctx
         self.objective = objective
         self.budget = budget if budget is not None else SearchBudget()
         self.seed = seed
-        self.evaluator = evaluator or IncrementalEvaluator(ctx)
+        self.evaluator = ctx.evaluator
         self._initial = initial
 
     # ------------------------------------------------------------------
@@ -219,21 +216,16 @@ class SearchEngine:
     def _warm_start(self) -> tuple[Assignment, SearchTrace]:
         if self._initial is not None:
             return self._initial
-        return GreedyAssigner(
-            self.ctx, objective=self.objective, evaluator=self.evaluator
-        ).run()
+        return GreedyAssigner(self.ctx, objective=self.objective).run()
 
     def run(self) -> tuple[Assignment, SearchTrace]:
         """Warm-start, explore under the budget, return the incumbent."""
         started = time.perf_counter()
-        hits_before = self.evaluator.stats.hits
-        misses_before = self.evaluator.stats.misses
+        counters = self.evaluator.stats
+        hits_before, misses_before = counters.hits, counters.misses
         greedy_assignment, greedy_trace = self._warm_start()
         state = SearchState(
-            self.ctx,
-            objective=self.objective,
-            evaluator=self.evaluator,
-            assignment=greedy_assignment,
+            self.ctx, objective=self.objective, assignment=greedy_assignment
         )
         incumbent = Incumbent(assignment=greedy_assignment, value=state.value)
         if obs_trace.enabled():
@@ -265,7 +257,7 @@ class SearchEngine:
             greedy_trace.stats,
             extra_nodes=self.budget.used,
             extra_applied=incumbent.improvements,
-            evaluator=self.evaluator,
+            counters=counters,
             hits_before=hits_before,
             misses_before=misses_before,
             started=started,
@@ -304,12 +296,9 @@ class SearchEngine:
         raise NotImplementedError
 
     def _restart_state(self, assignment: Assignment) -> SearchState:
-        """Fresh state at *assignment* (same shared evaluator)."""
+        """Fresh state at *assignment* (same context evaluator)."""
         return SearchState(
-            self.ctx,
-            objective=self.objective,
-            evaluator=self.evaluator,
-            assignment=assignment,
+            self.ctx, objective=self.objective, assignment=assignment
         )
 
     def _sampled_descent(
@@ -383,7 +372,6 @@ class ExactSearch(SearchEngine):
                 include_home_moves=True,
                 max_states=max_states,
                 prune=True,
-                evaluator=self.evaluator,
             ).run()
         except AssignmentError:
             self.budget.charge(self.budget.remaining)

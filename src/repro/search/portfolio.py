@@ -4,8 +4,8 @@ No single metaheuristic dominates across workloads — exact solving
 wins small cases outright, annealing handles rugged landscapes, beam
 handles deep chain selection, tabu escapes plateaus, multi-start
 covers basins.  :class:`PortfolioRunner` runs all of them under one
-shared node budget (split evenly), over one shared
-:class:`~repro.core.incremental.IncrementalEvaluator` — so every
+shared node budget (split evenly), each scoring through the context's
+one :class:`~repro.core.incremental.IncrementalEvaluator` — so every
 contribution any member scores warms the cache for the rest — and
 returns the best assignment with **per-strategy attribution**: the
 returned trace's ``strategy`` is ``portfolio:<winner>``, and
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from repro.core.assignment import GreedyAssigner, Objective, SearchTrace
 from repro.core.context import AnalysisContext, Assignment
-from repro.core.incremental import IncrementalEvaluator
 from repro.search.engine import SearchBudget, fold_search_stats
 
 __all__ = [
@@ -92,8 +91,6 @@ class PortfolioRunner:
     seed:
         Base seed; member *i* of :data:`DEFAULT_PORTFOLIO` runs with
         ``seed + i * stride``.
-    evaluator:
-        Optionally share a pre-warmed evaluator.
     """
 
     name = "portfolio"
@@ -104,7 +101,6 @@ class PortfolioRunner:
         objective: Objective = Objective.EDP,
         budget: SearchBudget | None = None,
         seed: int = 0,
-        evaluator: IncrementalEvaluator | None = None,
     ):
         from repro.search.registry import strategy_class
 
@@ -113,17 +109,14 @@ class PortfolioRunner:
         self.budget = budget if budget is not None else SearchBudget()
         self.seed = seed
         self._classes = [strategy_class(name) for name in DEFAULT_PORTFOLIO]
-        self.evaluator = evaluator or IncrementalEvaluator(ctx)
         self.outcomes: tuple[PortfolioOutcome, ...] = ()
 
     def run(self) -> tuple[Assignment, SearchTrace]:
         """Run every member; return the best incumbent with attribution."""
         started = time.perf_counter()
-        hits_before = self.evaluator.stats.hits
-        misses_before = self.evaluator.stats.misses
-        warm = GreedyAssigner(
-            self.ctx, objective=self.objective, evaluator=self.evaluator
-        ).run()
+        counters = self.ctx.evaluator.stats
+        hits_before, misses_before = counters.hits, counters.misses
+        warm = GreedyAssigner(self.ctx, objective=self.objective).run()
         greedy_assignment, greedy_trace = warm
         greedy_value = greedy_trace.final_value
 
@@ -149,7 +142,6 @@ class PortfolioRunner:
                 objective=self.objective,
                 budget=member_budget,
                 seed=self.seed + position * _SEED_STRIDE,
-                evaluator=self.evaluator,
                 initial=warm,
             ).run()
             nodes_used += member_budget.used
@@ -185,7 +177,7 @@ class PortfolioRunner:
             greedy_trace.stats,
             extra_nodes=nodes_used,
             extra_applied=0,
-            evaluator=self.evaluator,
+            counters=counters,
             hits_before=hits_before,
             misses_before=misses_before,
             started=started,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.core.assignment import GreedyAssigner, Objective
 from repro.core.context import AnalysisContext
-from repro.core.incremental import IncrementalEvaluator
 from repro.errors import ValidationError
 from repro.search.anneal import AnnealingSearch
 from repro.search.beam import BeamSearch
@@ -63,7 +62,6 @@ def build_assigner(
     ctx: AnalysisContext,
     objective: Objective = Objective.EDP,
     spec: AssignerSpec | None = None,
-    evaluator: IncrementalEvaluator | None = None,
 ):
     """Materialise the engine an :class:`AssignerSpec` describes.
 
@@ -73,20 +71,13 @@ def build_assigner(
     """
     spec = spec if spec is not None else AssignerSpec()
     if spec.name == "greedy":
-        return GreedyAssigner(ctx, objective=objective, evaluator=evaluator)
-    budget = SearchBudget(nodes=spec.budget, wall_time_s=spec.budget_seconds)
-    if spec.name == "portfolio":
-        return PortfolioRunner(
-            ctx,
-            objective=objective,
-            budget=budget,
-            seed=spec.seed,
-            evaluator=evaluator,
-        )
-    return strategy_class(spec.name)(
+        return GreedyAssigner(ctx, objective=objective)
+    engine = (
+        PortfolioRunner if spec.name == "portfolio" else strategy_class(spec.name)
+    )
+    return engine(
         ctx,
         objective=objective,
-        budget=budget,
+        budget=SearchBudget(nodes=spec.budget, wall_time_s=spec.budget_seconds),
         seed=spec.seed,
-        evaluator=evaluator,
     )

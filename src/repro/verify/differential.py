@@ -10,9 +10,10 @@ the synthetic ones from :mod:`repro.synth` — with four checks:
 ``incremental``
     The greedy search with ``use_incremental=True`` and ``False`` must
     return **bit-identical** assignments, traces and objective values,
-    and :meth:`IncrementalEvaluator.report` must equal
-    :func:`estimate_cost` field for field on both the out-of-the-box
-    and the searched assignment.
+    and the context evaluator's
+    :meth:`~repro.core.incremental.IncrementalEvaluator.report` must
+    equal :func:`estimate_cost` field for field on both the
+    out-of-the-box and the searched assignment.
 ``oracle``
     On instances whose option space fits the enumeration budget, the
     branch-and-bound optimum must equal the full enumeration's optimum
@@ -56,7 +57,6 @@ from repro.core.assignment import GreedyAssigner, objective_value
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import estimate_cost, iteration_cycles
 from repro.core.exhaustive import ExhaustiveAssigner
-from repro.core.incremental import IncrementalEvaluator
 from repro.core.scenarios import evaluate_scenarios
 from repro.errors import AssignmentError, ReproError, ValidationError
 from repro.sim import simulate
@@ -374,12 +374,11 @@ class DifferentialHarness:
                 f"{ref_trace.final_value!r}",
             )
 
-        evaluator = IncrementalEvaluator(ctx)
         for label, assignment in (
             ("oob", ctx.out_of_box_assignment()),
             ("mhla", inc_assignment),
         ):
-            folded = evaluator.report(assignment)
+            folded = ctx.evaluator.report(assignment)
             monolithic = estimate_cost(ctx, assignment)
             if folded != monolithic:
                 return CheckResult(

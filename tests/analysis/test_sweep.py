@@ -200,8 +200,29 @@ class TestContextSlot:
             for app, platform in self.RECIPES
         )
 
-    def test_slot_holds_the_last_recipe_only(self, cells):
+    def test_slot_holds_the_last_recipe_only(self, cells, monkeypatch):
         ParallelSweepRunner(jobs=1).run(cells)
+        assert list(sweep._CTX_CACHE) == [
+            ("voice_coder", "embedded_3layer", kib(8), kib(64))
+        ]
+        # recipe-contiguous, the cells build one evaluator per recipe
+        from repro.core.incremental import IncrementalEvaluator
+
+        builds = []
+        original = IncrementalEvaluator.__init__
+
+        def counted(evaluator, ctx):
+            builds.append(ctx)
+            original(evaluator, ctx)
+
+        monkeypatch.setattr(IncrementalEvaluator, "__init__", counted)
+        contiguous = sorted(
+            cells, key=lambda cell: self.RECIPES.index((cell.app, cell.platform))
+        )
+        sweep._CTX_CACHE.clear()
+        for cell in contiguous:
+            assert sweep._evaluate_cell_warm(cell)[1] is None
+        assert len(builds) == len(self.RECIPES)
         assert list(sweep._CTX_CACHE) == [
             ("voice_coder", "embedded_3layer", kib(8), kib(64))
         ]

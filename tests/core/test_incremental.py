@@ -168,11 +168,11 @@ class TestRandomWalkEquivalence:
 
 
 class TestSharedContextTables:
-    """Evaluators on one context share its contribution table.
+    """Searches on one context share its one evaluator's tables.
 
     A sweep worker runs every objective of a recipe on one cached
     context: the second run must find the first run's contributions in
-    the context's table and return what a run on a fresh context
+    ``ctx.evaluator``'s table and return what a run on a fresh context
     returns.  The hit/miss counters count lookups in that table, so a
     miss is the lookup that built an entry.
     """
@@ -208,10 +208,11 @@ class TestSharedContextTables:
             assert trace.steps == fresh_trace.steps
             assert trace.final_value == fresh_trace.final_value
             assert fresh_trace.stats.cache_misses == len(
-                fresh_ctx.contribution_table
+                fresh_ctx.evaluator.contribution_table
             )
             shared_misses += trace.stats.cache_misses
-        assert shared_misses == len(shared.contribution_table)
+        assert shared.evaluator is shared.evaluator
+        assert shared_misses == len(shared.evaluator.contribution_table)
 
     def test_second_run_on_shared_context_builds_less(self, monkeypatch):
         builds = self._counting_builds(monkeypatch)

@@ -22,7 +22,9 @@ them, so a scan checks every such name still resolves, and one cell
 evaluated under counting wrappers checks that each stage its replay
 spans is still reached through the wrapped name.  Its replay also reads
 the search counters off each result in-process, so one cell is
-replayed through it in a subprocess.
+replayed through it in a subprocess.  Its traced run also takes a
+median over every serving span it reads, so one batch served over a
+socket checks that each of those spans is still reached.
 """
 
 import ast
@@ -312,19 +314,8 @@ def test_perfbench_name_scan_sees_attributes_and_span_targets(tmp_path):
     ]
 
 
-def test_a_cell_calls_every_cell_stage_perfbench_wraps(monkeypatch):
-    # perfbench's replay (replay.py) spans a cell's stages by the names
-    # it wraps; a stage that stops calling such a name, say a memo that
-    # routes report calls around scenarios.estimate_cost, would empty
-    # its per-layer metric without any error
-    from repro.analysis import sweep
-    from repro.core.assignment import Objective
-
-    targets = [
-        target
-        for _file, target in perfbench_span_targets(REPO_ROOT, "replay.py")
-    ]
-    assert targets, "perfbench/replay.py declares no span targets"
+def _count_calls(monkeypatch, targets) -> dict:
+    """Wrap each span target with a call counter; ``target -> calls``."""
     calls = {target: 0 for target in targets}
     for target in targets:
         module, owner_name, attr, _span = target
@@ -338,6 +329,23 @@ def test_a_cell_calls_every_cell_stage_perfbench_wraps(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_a_cell_calls_every_cell_stage_perfbench_wraps(monkeypatch):
+    # perfbench's replay (replay.py) spans a cell's stages by the names
+    # it wraps; a stage that stops calling such a name, say a memo that
+    # routes report calls around scenarios.estimate_cost, would empty
+    # its per-layer metric without any error
+    from repro.analysis import sweep
+    from repro.core.assignment import Objective
+
+    targets = [
+        target
+        for _file, target in perfbench_span_targets(REPO_ROOT, "replay.py")
+    ]
+    assert targets, "perfbench/replay.py declares no span targets"
+    calls = _count_calls(monkeypatch, targets)
     sweep._CTX_CACHE.clear()
     try:
         cell = sweep.SweepCell("qsdpcm", sweep.PlatformSpec(), Objective.EDP)
@@ -347,3 +355,74 @@ def test_a_cell_calls_every_cell_stage_perfbench_wraps(monkeypatch):
     assert error is None, error
     uncalled = [target for target, count in calls.items() if count == 0]
     assert not uncalled, f"a cell never calls these wrapped stages: {uncalled}"
+
+
+def _span_p50_names(root: pathlib.Path) -> tuple[str, ...]:
+    """Span names of ``SPAN_P50_METRICS`` in ``perfbench/layers.py``."""
+    tree = ast.parse((root / "perfbench/layers.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(name, ast.Name) and name.id == "SPAN_P50_METRICS"
+            for name in node.targets
+        ):
+            return tuple(span for _metric, span in ast.literal_eval(node.value))
+    raise AssertionError("perfbench/layers.py defines no SPAN_P50_METRICS")
+
+
+def test_a_served_batch_calls_every_serving_span_perfbench_reads(
+    monkeypatch, tmp_path
+):
+    # a traced run takes the median of every SPAN_P50_METRICS span and
+    # exits 1 on an empty list; the serving spans come from the wrapped
+    # names in spans.py, so a server that stops calling one (say,
+    # put_result encoding through another path than the module's
+    # result_to_state) fails the traced run while every other test passes
+    from repro.service import (
+        AsyncExplorationServer,
+        ExplorationService,
+        ResultStore,
+        ServiceClient,
+    )
+
+    wanted = _span_p50_names(REPO_ROOT)
+    serving = [
+        target for _file, target in perfbench_span_targets(REPO_ROOT, "spans.py")
+    ]
+    assert serving, "perfbench/spans.py declares no span targets"
+    replayed = {
+        target[3]
+        for _file, target in perfbench_span_targets(REPO_ROOT, "replay.py")
+    }
+    serving_names = {target[3] for target in serving}
+    orphans = [
+        name
+        for name in wanted
+        if name not in serving_names | replayed | {"assignment.search"}
+    ]
+    assert not orphans, f"no perfbench span produces: {orphans}"
+
+    calls = _count_calls(monkeypatch, serving)
+    cells = [
+        {"app": "voice_coder", "objective": objective}
+        for objective in ("edp", "cycles")
+    ]
+    server = AsyncExplorationServer(
+        ExplorationService(store=ResultStore(tmp_path / "cache"), jobs=1),
+        socket_path=tmp_path / "mhla.sock",
+    )
+    server.start()
+    try:
+        with ServiceClient(tmp_path / "mhla.sock", timeout=120.0) as client:
+            outcomes = client.call("batch", {"cells": cells})["outcomes"]
+            assert [row["status"] for row in outcomes] == ["done", "done"]
+            for row in outcomes:
+                assert client.call("result", {"key": row["key"]})["status"] == (
+                    "done"
+                )
+    finally:
+        assert server.drain(timeout=30.0)
+    reached = {target[3] for target, count in calls.items() if count}
+    unreached = [
+        name for name in wanted if name in serving_names and name not in reached
+    ]
+    assert not unreached, f"a served batch never calls: {unreached}"
