@@ -63,8 +63,7 @@ request is simply re-evaluated on its next appearance — results stay
 byte-identical either way).
 
 ``repro run``/``sweep``/``serve`` also accept ``--assigner NAME``
-(with ``--budget N``, ``--search-seed S`` and ``--budget-seconds T``,
-a wall-clock cut-off composing with the node budget) to swap the
+(with ``--budget N`` scored moves and ``--search-seed S``) to swap the
 step-1 search engine: ``greedy`` (default), one of the metaheuristics
 (``annealing``/``tabu``/``beam``/``restart``/``exact``) or the
 ``portfolio`` racing all of them; ``repro fuzz --assigner`` picks the
@@ -195,7 +194,6 @@ def _assigner_spec(args: argparse.Namespace):
         name=getattr(args, "assigner", "greedy"),
         budget=getattr(args, "budget", None) or AssignerSpec().budget,
         seed=getattr(args, "search_seed", 0),
-        budget_seconds=getattr(args, "budget_seconds", None),
     )
 
 
@@ -736,8 +734,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for durations: zero/negative cut-offs fail at
-    parse time instead of aborting the search before its first node."""
+    """argparse type for durations: a zero or negative threshold, lease
+    or timeout fails at parse time instead of at first use."""
     try:
         value = float(text)
     except ValueError:
@@ -791,15 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="S",
             help="metaheuristic RNG seed; a fixed seed makes the search "
             "byte-for-byte deterministic (default: 0)",
-        )
-        p.add_argument(
-            "--budget-seconds",
-            type=_positive_float,
-            default=None,
-            metavar="T",
-            help="wall-clock cut-off in seconds, composing with --budget "
-            "(whichever trips first stops the search; results stay "
-            "anytime-valid but machine-dependent; ignored by greedy)",
         )
 
     def add_obs_args(

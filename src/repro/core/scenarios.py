@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.assignment import GreedyAssigner, Objective, SearchTrace
+from repro.core.assignment import Objective, SearchTrace
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import CostReport, estimate_cost
 from repro.core.te import TeSchedule, TimeExtensionEngine
@@ -127,54 +127,6 @@ def step_two(
         )
         ctx.step2_table[key] = entry
     return entry
-
-
-def run_mhla_te(
-    ctx: AnalysisContext,
-    objective: Objective = Objective.EDP,
-    base: ScenarioResult | None = None,
-    sort_factor: str = "time_per_size",
-) -> ScenarioResult:
-    """Steps 1 + 2: assignment, then Figure 1 prefetching.
-
-    Pass the ``mhla`` result as *base* to reuse its assignment (the
-    normal flow: "After deciding and placing on memory layers, arrays
-    and copies the step of time extensions is applied").  Step 2 goes
-    through :func:`step_two`, so it is shared with every earlier call on
-    *ctx* for the same assignment and *sort_factor*.
-    """
-    if base is not None:
-        assignment, trace = base.assignment, base.trace
-    else:
-        assignment, trace = GreedyAssigner(ctx, objective=objective).run()
-    te, report, _ideal = step_two(ctx, assignment, sort_factor)
-    return ScenarioResult(
-        scenario="mhla_te",
-        app_name=ctx.program.name,
-        report=report,
-        assignment=assignment,
-        te=te,
-        trace=trace,
-    )
-
-
-def run_ideal(
-    ctx: AnalysisContext,
-    objective: Objective = Objective.EDP,
-    base: ScenarioResult | None = None,
-) -> ScenarioResult:
-    """Figure 2's reference: same assignment, zero-wait transfers."""
-    if base is not None:
-        assignment, trace = base.assignment, base.trace
-    else:
-        assignment, trace = GreedyAssigner(ctx, objective=objective).run()
-    return ScenarioResult(
-        scenario="ideal",
-        app_name=ctx.program.name,
-        report=estimate_cost(ctx, assignment, ideal=True),
-        assignment=assignment,
-        trace=trace,
-    )
 
 
 def evaluate_scenarios(

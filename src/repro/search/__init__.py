@@ -21,7 +21,7 @@ Layers
   (name, budget, seed) recipe carried by sweep cells, cache keys and
   the CLI.
 * :mod:`repro.search.engine`    — :class:`SearchEngine` (greedy warm
-  start, incumbent tracking, :class:`SearchBudget` node/time budgets,
+  start, incumbent tracking, :class:`SearchBudget` node budgets,
   strategy-attributed traces) and :class:`ExactSearch`.
 * :mod:`repro.search.anneal`    — simulated annealing with restarts.
 * :mod:`repro.search.tabu`      — tabu search with aspiration.

@@ -42,18 +42,11 @@ class AssignerSpec:
     seed:
         RNG seed; a fixed seed makes every engine byte-for-byte
         deterministic.
-    budget_seconds:
-        Optional wall-clock cut-off (:attr:`SearchBudget.wall_time_s`)
-        composing with the node budget: the engine stops at whichever
-        limit trips first.  Timed results are still anytime-valid and
-        never worse than greedy, but no longer machine-independent —
-        leave ``None`` for reproducible runs.
     """
 
     name: str = "greedy"
     budget: int = DEFAULT_BUDGET
     seed: int = 0
-    budget_seconds: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -62,11 +55,6 @@ class AssignerSpec:
             raise ValidationError(
                 f"assigner budget must be >= 1, got {self.budget}"
             )
-        if self.budget_seconds is not None and not self.budget_seconds > 0:
-            raise ValidationError(
-                f"assigner budget_seconds must be positive, "
-                f"got {self.budget_seconds}"
-            )
 
     def payload(self) -> dict:
         """Canonical cache-key identity of this assigner config.
@@ -74,23 +62,15 @@ class AssignerSpec:
         The greedy engine is deterministic and budget/seed-free, so its
         payload is just the name — bumping a budget default can never
         cold-start caches full of greedy results.  Every other engine's
-        result depends on (name, budget, seed), so all three key.  A
-        wall-clock cut makes results machine-dependent, so it joins the
-        payload only when set — untimed specs keep their historical
-        keys.
+        result depends on (name, budget, seed) and nothing else, so all
+        three key.
         """
         if self.name == "greedy":
             return {"name": "greedy"}
-        payload = {"name": self.name, "budget": self.budget, "seed": self.seed}
-        if self.budget_seconds is not None:
-            payload["budget_seconds"] = self.budget_seconds
-        return payload
+        return {"name": self.name, "budget": self.budget, "seed": self.seed}
 
     def describe(self) -> str:
         """Short human-readable form for tables and logs."""
         if self.name == "greedy":
             return "greedy"
-        base = f"{self.name}(budget={self.budget}, seed={self.seed}"
-        if self.budget_seconds is not None:
-            base += f", {self.budget_seconds:g}s"
-        return base + ")"
+        return f"{self.name}(budget={self.budget}, seed={self.seed})"

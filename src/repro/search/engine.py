@@ -13,7 +13,7 @@ The shared skeleton (:class:`SearchEngine`) provides:
 * a seeded :class:`random.Random`, making runs byte-for-byte
   deterministic for a fixed ``(budget, seed)``;
 * a :class:`SearchBudget` counting scored moves (nodes), so strategies
-  race under comparable budgets;
+  race under comparable budgets and no result depends on a clock;
 * incumbent tracking plus the strategy-annotated
   :class:`~repro.core.assignment.SearchTrace` assembly.
 
@@ -42,6 +42,7 @@ from repro.core.state import SearchState
 from repro.errors import AssignmentError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import global_registry
+from repro.search.config import DEFAULT_BUDGET
 
 __all__ = ["ExactSearch", "Incumbent", "SearchBudget", "SearchEngine"]
 
@@ -99,26 +100,18 @@ def fold_search_stats(
 
 
 class SearchBudget:
-    """Node/time budget shared by one engine run.
+    """Node budget shared by one engine run.
 
-    ``nodes`` bounds scored moves — the deterministic budget the CLI's
-    ``--budget`` flag sets.  ``wall_time_s`` optionally adds a
-    wall-clock cut-off; results under a time cut are still legal and
-    never worse than greedy, but no longer machine-independent, so
-    tests and cached sweeps use node budgets only.
+    ``nodes`` bounds scored moves — the budget the CLI's ``--budget``
+    flag sets.  It is the only cut, so a fixed ``(budget, seed)`` gives
+    the same result on any machine and any clock.
     """
 
-    def __init__(self, nodes: int = 2000, wall_time_s: float | None = None):
+    def __init__(self, nodes: int = DEFAULT_BUDGET):
         if nodes < 1:
             raise AssignmentError(f"budget nodes must be >= 1, got {nodes}")
-        if wall_time_s is not None and wall_time_s <= 0:
-            raise AssignmentError("budget wall_time_s must be positive")
         self.nodes = nodes
-        self.wall_time_s = wall_time_s
         self.used = 0
-        self._deadline = (
-            time.monotonic() + wall_time_s if wall_time_s is not None else None
-        )
 
     def charge(self, count: int = 1) -> None:
         """Record *count* scored moves."""
@@ -126,23 +119,11 @@ class SearchBudget:
 
     def exhausted(self) -> bool:
         """True once no further move may be scored."""
-        if self.used >= self.nodes:
-            return True
-        return self._deadline is not None and time.monotonic() > self._deadline
+        return self.used >= self.nodes
 
     @property
     def remaining(self) -> int:
         return max(0, self.nodes - self.used)
-
-    def remaining_time(self) -> float | None:
-        """Seconds left before the wall-clock cut (None when untimed).
-
-        Lets a parent budget hand *slices of its own deadline* to
-        sub-budgets (the portfolio gives each member the remaining
-        wall time, not a fresh full allowance)."""
-        if self._deadline is None:
-            return None
-        return self._deadline - time.monotonic()
 
 
 @dataclass

@@ -130,12 +130,7 @@ class PortfolioRunner:
         # Fixed member order with strict <: the first member at the
         # best value wins ties.
         for position, cls in enumerate(self._classes):
-            # Members share the PORTFOLIO's deadline: each gets the wall
-            # time still remaining, not a fresh full allowance.
-            remaining_s = self.budget.remaining_time()
-            if remaining_s is not None and remaining_s <= 0:
-                break
-            member_budget = SearchBudget(nodes=share, wall_time_s=remaining_s)
+            member_budget = SearchBudget(nodes=share)
             member_started = time.perf_counter()
             assignment, trace = cls(
                 self.ctx,

@@ -78,6 +78,6 @@ def build_assigner(
     return engine(
         ctx,
         objective=objective,
-        budget=SearchBudget(nodes=spec.budget, wall_time_s=spec.budget_seconds),
+        budget=SearchBudget(nodes=spec.budget),
         seed=spec.seed,
     )

@@ -53,11 +53,10 @@ an optional platform recipe: ``kind`` (``embedded_3layer`` default or
 ``embedded_2layer``), sizes as ``l1_kib``/``l2_kib`` (or exact
 ``l1_bytes``/``l2_bytes``), plus ``objective`` (``edp``/``cycles``/
 ``energy``), ``sort_factor``, and an optional ``assigner`` object
-``{"name", "budget", "seed", "budget_seconds"}`` choosing the step-1
-search engine
+``{"name", "budget", "seed"}`` choosing the step-1 search engine
 (``greedy`` default, or a metaheuristic / ``portfolio`` from
-:mod:`repro.search`); ``repro serve --assigner`` changes the default
-for cells that omit it.
+:mod:`repro.search`); any other field is refused, and ``repro serve
+--assigner`` changes the default for cells that omit it.
 
 Any request's params may additionally carry a ``trace_id`` string
 (minted by :class:`repro.service.client.ServiceClient`).  It is
@@ -130,7 +129,7 @@ _CELL_FIELDS = frozenset(
 _PLATFORM_FIELDS = frozenset(
     ("kind", "l1_kib", "l2_kib", "l1_bytes", "l2_bytes", "label")
 )
-_ASSIGNER_FIELDS = frozenset(("name", "budget", "seed", "budget_seconds"))
+_ASSIGNER_FIELDS = frozenset(("name", "budget", "seed"))
 
 
 def assigner_from_params(
@@ -170,26 +169,11 @@ def assigner_from_params(
             )
         return value
 
-    def optional_seconds(field: str, fallback: float | None) -> float | None:
-        # int or float both describe a wall-clock cut; bools are the
-        # usual JSON truthiness trap and stay rejected.
-        value = params.get(field, fallback)
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _RpcError(
-                INVALID_PARAMS, f"assigner {field!r} must be a number"
-            )
-        return float(value)
-
     try:
         return AssignerSpec(
             name=name,
             budget=require_int("budget", base.budget),
             seed=require_int("seed", base.seed),
-            budget_seconds=optional_seconds(
-                "budget_seconds", base.budget_seconds
-            ),
         )
     except ValidationError as error:
         raise _RpcError(

@@ -6,10 +6,9 @@ from repro.core.mhla import Mhla
 from repro.core.scenarios import (
     SCENARIO_ORDER,
     evaluate_scenarios,
-    run_ideal,
     run_mhla,
-    run_mhla_te,
     run_out_of_box,
+    step_two,
 )
 from repro.core.context import AnalysisContext
 
@@ -76,14 +75,16 @@ class TestIndividualRunners:
         assert result.scenario == "mhla"
 
     def test_te_reuses_base_assignment(self, window_ctx):
-        base = run_mhla(window_ctx)
-        te_result = run_mhla_te(window_ctx, base=base)
-        assert te_result.assignment is base.assignment
-        assert te_result.te is not None
+        results = evaluate_scenarios(
+            window_ctx.program, window_ctx.platform, ctx=window_ctx
+        )
+        assert results["mhla_te"].assignment is results["mhla"].assignment
+        assert results["mhla_te"].te is not None
 
     def test_ideal_has_zero_stall(self, window_ctx):
-        result = run_ideal(window_ctx)
-        assert result.report.stall_cycles == 0
+        base = run_mhla(window_ctx)
+        _te, _te_report, ideal_report = step_two(window_ctx, base.assignment)
+        assert ideal_report.stall_cycles == 0
 
 
 class TestMhlaFacade:

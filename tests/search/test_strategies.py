@@ -9,6 +9,9 @@ exhaustive optimum on small cases and attributes its winner.
 
 import pytest
 
+from repro.analysis import sweep
+from repro.analysis.export import result_state_json
+from repro.analysis.sweep import PlatformSpec, SweepCell
 from repro.core.assignment import GreedyAssigner, Objective
 from repro.core.context import AnalysisContext
 from repro.core.exhaustive import ExhaustiveAssigner
@@ -16,6 +19,7 @@ from repro.errors import ValidationError
 from repro.memory.presets import embedded_2layer, embedded_3layer
 from repro.search import (
     ASSIGNER_NAMES,
+    DEFAULT_BUDGET,
     AssignerSpec,
     PortfolioRunner,
     SearchBudget,
@@ -180,10 +184,6 @@ class TestRegistry:
             AssignerSpec(name="")
         with pytest.raises(ValidationError):
             AssignerSpec(budget=0)
-        with pytest.raises(ValidationError):
-            AssignerSpec(name="tabu", budget_seconds=0.0)
-        with pytest.raises(ValidationError):
-            AssignerSpec(name="tabu", budget_seconds=-1.5)
 
     def test_greedy_payload_is_budget_free(self):
         assert AssignerSpec("greedy", budget=5).payload() == {"name": "greedy"}
@@ -193,21 +193,41 @@ class TestRegistry:
             "seed": 2,
         }
 
-    def test_budget_seconds_keys_only_when_set(self):
-        # untimed specs keep their historical cache keys...
-        assert "budget_seconds" not in AssignerSpec("tabu").payload()
-        # ...and a wall-clock cut makes a distinct one
-        timed = AssignerSpec("tabu", budget_seconds=1.5)
-        assert timed.payload()["budget_seconds"] == 1.5
-        assert "1.5s" in timed.describe()
+    def test_default_budget_is_the_spec_default(self):
+        assert SearchBudget().nodes == DEFAULT_BUDGET == AssignerSpec().budget
 
-    def test_budget_seconds_reaches_the_engine_budget(self):
-        ctx = AnalysisContext(make_two_nest_program(), embedded_3layer())
-        engine = build_assigner(
-            ctx, spec=AssignerSpec("tabu", budget=60, budget_seconds=30.0)
-        )
-        assert engine.budget.wall_time_s == 30.0
-        assert engine.budget.nodes == 60
-        # generous cut-off: the node budget still bounds the run
-        _assignment, trace = engine.run()
-        assert trace.stats.moves_evaluated <= 60 + trace.stats.rounds * 60
+
+class _LeapingClock:
+    """Stand-in for the ``time`` module whose clocks jump an hour per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def _read(self) -> float:
+        self.now += 3600.0
+        return self.now
+
+    monotonic = perf_counter = _read
+
+
+def test_a_searched_cell_is_independent_of_the_clock(monkeypatch):
+    """Budgets count scored moves only: no clock reading reaches a result."""
+    cell = SweepCell(
+        app="voice_coder",
+        platform=PlatformSpec(),
+        objective=Objective.EDP,
+        assigner=AssignerSpec("portfolio", budget=300),
+    )
+
+    def state():
+        result, error = sweep._evaluate_cell_guarded(cell)
+        assert error is None
+        return result_state_json(result)
+
+    steady = state()
+    clock = _LeapingClock()
+    for module in ("repro.search.engine", "repro.search.portfolio",
+                   "repro.core.assignment"):
+        monkeypatch.setattr(f"{module}.time", clock)
+    assert state() == steady
+    assert clock.now > 0  # the stub was read, so the patch took hold

@@ -335,32 +335,20 @@ class TestAssignerParams:
             )
         assert excinfo.value.code == INVALID_PARAMS
 
-    def test_budget_seconds_parsed(self):
-        cell = cell_from_params(
-            {
-                "app": "qsdpcm",
-                "assigner": {"name": "tabu", "budget_seconds": 2.5},
-            }
-        )
-        assert cell.assigner.budget_seconds == 2.5
-        # integers are numbers too (JSON clients often send 5, not 5.0)
-        cell = cell_from_params(
-            {"app": "qsdpcm", "assigner": {"name": "tabu", "budget_seconds": 5}}
-        )
-        assert cell.assigner.budget_seconds == 5.0
-
     def test_bad_budget_seconds_rejected(self):
+        # search budgets count scored moves only: a wall-clock cut is an
+        # unknown field, never a silently ignored one
         from repro.service.rpc import _RpcError
 
-        for bad in (True, "fast", 0, -2.0):
-            with pytest.raises(_RpcError) as excinfo:
-                cell_from_params(
-                    {
-                        "app": "qsdpcm",
-                        "assigner": {"name": "tabu", "budget_seconds": bad},
-                    }
-                )
-            assert excinfo.value.code == INVALID_PARAMS
+        with pytest.raises(_RpcError) as excinfo:
+            cell_from_params(
+                {
+                    "app": "qsdpcm",
+                    "assigner": {"name": "tabu", "budget_seconds": 2.5},
+                }
+            )
+        assert excinfo.value.code == INVALID_PARAMS
+        assert "budget_seconds" in str(excinfo.value)
 
     def test_assigner_changes_submit_key(self):
         service = ExplorationService(store=ResultStore())

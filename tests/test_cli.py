@@ -194,42 +194,18 @@ class TestAssignerFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "voice_coder", "--budget", "0"])
 
-    def test_budget_seconds_parsed_on_every_assigner_command(self):
-        for command in (["run", "voice_coder"], ["search", "voice_coder"],
-                        ["sweep"], ["fuzz"], ["serve"]):
-            args = build_parser().parse_args(
-                command + ["--budget-seconds", "1.5"]
-            )
-            assert args.budget_seconds == 1.5
-
-    def test_non_positive_budget_seconds_rejected(self):
-        for bad in ("0", "-3", "soon"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["search", "voice_coder", "--budget-seconds", bad]
-                )
-
-    def test_budget_seconds_reaches_the_spec(self):
-        from repro.cli import _assigner_spec
-
-        args = build_parser().parse_args(
-            ["search", "voice_coder", "--assigner", "tabu",
-             "--budget-seconds", "2.5"]
-        )
-        assert _assigner_spec(args).budget_seconds == 2.5
-        # omitted flag stays None, keeping the spec's historical identity
-        args = build_parser().parse_args(["search", "voice_coder"])
-        assert _assigner_spec(args).budget_seconds is None
-
-    def test_search_budget_seconds_cuts_a_large_run(self, capsys):
-        # A microscopic wall-clock cut: the race must finish (anytime
-        # contract) with far fewer nodes than the huge node budget.
-        assert main(
-            ["search", "qsdpcm", "--assigner", "annealing",
-             "--budget", "100000000", "--budget-seconds", "0.05"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "result:" in out
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "voice_coder"], ["search", "voice_coder"], ["sweep"],
+         ["fuzz"], ["serve"]],
+        ids=lambda command: command[0],
+    )
+    def test_budget_seconds_flag_refused(self, command):
+        # search budgets count scored moves only; no wall-clock cut
+        build_parser().parse_args(command)  # the command itself is fine
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--budget-seconds", "1"])
+        assert excinfo.value.code == 2
 
     def test_search_command_races_portfolio(self, capsys):
         assert main(["search", "voice_coder", "--budget", "300"]) == 0

@@ -12,6 +12,10 @@ The search engines and the core flow sit below the analysis, service
 and CLI layers; a lazy import inside a function is still an upward
 dependency, so the layering scan walks every import node.
 
+Every field of an assigner recipe keys its result: a field that the
+cache-key payload leaves out could change what a search returns
+without changing the key it is stored under.
+
 Serving never imports numpy: dropping it cut a cold grid server's peak
 RSS from 133.9 to 97.3 MiB, so a vectorised fold that pulls it back in
 has to be a deliberate, measured choice.
@@ -28,6 +32,7 @@ socket checks that each of those spans is still reached.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -150,6 +155,15 @@ def test_upward_import_scan_sees_function_level_imports(tmp_path):
     assert upward_imports(tmp_path) == [
         "search/lazy.py:2", "search/lazy.py:4", "search/lazy.py:5",
     ]
+
+
+def test_every_assigner_recipe_field_keys_the_result():
+    from repro.search import ASSIGNER_NAMES, AssignerSpec
+
+    fields = {field.name for field in dataclasses.fields(AssignerSpec)}
+    for name in ASSIGNER_NAMES:
+        if name != "greedy":
+            assert set(AssignerSpec(name).payload()) == fields, name
 
 
 SERVING_PROBE = """
