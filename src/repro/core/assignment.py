@@ -22,9 +22,13 @@ Moves are the :class:`~repro.core.state.AddCopy`,
 :class:`~repro.core.state.Rehome` and :class:`~repro.core.state.DropCopy`
 primitives every metaheuristic walks, and by default they are scored
 and applied through the same :class:`~repro.core.state.SearchState`:
-one batched :meth:`~repro.core.state.SearchState.score_frontier` pass
+one batched :meth:`~repro.core.state.SearchState.frontier_totals` pass
 per round over cached per-group contributions, with capacity probed
-against a live occupancy ledger.  Scores and feasibility answers are
+against a live occupancy ledger.  A round's ``(cycles, energy)`` per
+move depend on the assignment and the move set only, not on the
+objective, so they are stored in the context evaluator's round table
+and the searches of a recipe's other objectives take the rounds they
+reach again from there.  Scores and feasibility answers are
 bit-identical to the monolithic path (``use_incremental=False``), which
 checks chain legality, rebuilds the occupancy map and re-runs
 :func:`repro.core.costs.estimate_cost` for every trial and is kept as
@@ -81,10 +85,13 @@ class SearchStats:
     back from the cache has ``None``.  ``cache_hits`` and
     ``cache_misses`` are the run's lookups on its context's evaluator
     (``ctx.evaluator``), the change of that evaluator's counters over
-    the run.  They are exact when searches on a context run one at a
-    time, as on every CLI path, in perfbench's replay and in every
-    test; two flushes that run at once in one ``--jobs 1`` server on
-    the same context share them.
+    the run.  A greedy round served from the evaluator's round table
+    makes no lookups, so a search on a context that an earlier search
+    warmed reports fewer hits than one on a fresh context.  They are
+    exact when searches on a context run one at a time, as on every
+    CLI path, in perfbench's replay and in every test; two flushes that
+    run at once in one ``--jobs 1`` server on the same context share
+    them.
     """
 
     rounds: int
@@ -155,6 +162,14 @@ class GreedyAssigner:
 
     The incremental path scores through the context's one evaluator,
     ``ctx.evaluator``; the run's cache counters are its lookups there.
+    Each greedy round is first looked up in ``ctx.evaluator.round_table``
+    on ``(allow_home_moves, array_home items, copies items)``.  A miss
+    scores the round and stores each legal, feasible move with its
+    ``(cycles, energy)``; a hit takes those totals instead.  Either way
+    the round counts the same moves and applies the first move, in
+    candidate order, of strictly least objective, so a hit returns what
+    scoring would.  The reference path neither reads nor writes the
+    table, and the cleanup pass always scores.
     """
 
     def __init__(
@@ -191,7 +206,7 @@ class GreedyAssigner:
 
         for rounds in range(1, MAX_STEPS + 1):
             best, best_value = None, value
-            for move, trial_value in self._scored(walk, self._candidates(walk)):
+            for move, trial_value in self._round(walk):
                 if trial_value < best_value:
                     best, best_value = move, trial_value
             if best is None:
@@ -267,6 +282,37 @@ class GreedyAssigner:
                     if layer.name != home and layer.fits(size)
                 )
         return moves
+
+    def _round(self, walk):
+        """``(move, value)`` of each legal, feasible move of this round.
+
+        The incremental path serves the round's totals from
+        ``ctx.evaluator.round_table`` or scores and stores them (see the
+        class docstring); the reference path scores every round.
+        """
+        if not self.use_incremental:
+            return self._scored(walk, self._candidates(walk))
+        assignment = walk.assignment
+        key = (
+            self.allow_home_moves,
+            tuple(assignment.array_home.items()),
+            tuple(assignment.copies.items()),
+        )
+        table = self.ctx.evaluator.round_table
+        frontier = table.get(key)
+        if frontier is None:
+            moves = self._candidates(walk)
+            frontier = table[key] = tuple(
+                (move, *totals)
+                for move, totals in zip(moves, walk.frontier_totals(moves))
+                if totals is not None
+            )
+        self._moves_evaluated += len(frontier)
+        objective = self.objective
+        return [
+            (move, objective_from_totals(cycles, energy, objective))
+            for move, cycles, energy in frontier
+        ]
 
     def _scored(self, walk, moves):
         """Yield ``(move, value)`` for each legal, feasible move.

@@ -114,7 +114,8 @@ class AnalysisContext:
     Besides the up-front analyses and :attr:`compute_cycles`, the
     context owns two things that fill on demand.  :attr:`evaluator` is
     the context's one :class:`~repro.core.incremental.IncrementalEvaluator`,
-    which holds the step-1 contribution and link tables.
+    which holds the three step-1 tables: contributions, links and
+    greedy's scored rounds.
     ``step2_table`` belongs to :func:`~repro.core.scenarios.step_two`:
     it maps ``(sort_factor, array_home items, copies items)`` to the
     ``(TeSchedule, mhla_te CostReport, ideal CostReport)`` of that

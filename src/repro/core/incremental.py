@@ -22,6 +22,10 @@ groups):
   one sweep cell recipe — builds each contribution once.  The hit/miss
   counters count lookups in the contribution table, so a miss is the
   lookup that built an entry and the misses sum to the table's size.
+  The evaluator also holds greedy's round table, the scored frontier of
+  each greedy round (see
+  :class:`~repro.core.assignment.GreedyAssigner`), so a round that one
+  objective's search has scored is not scored again by another's.
 * :class:`OccupancyLedger` keeps a mutable per-layer, per-timeline-step
   byte count so capacity feasibility of a move is answered by checking
   a single claim delta against the touched steps instead of rebuilding
@@ -164,8 +168,14 @@ class IncrementalEvaluator:
     to its :class:`~repro.core.costs.GroupContribution` (``None`` for an
     illegal chain) and ``link_table`` maps ``(uid, layer, parent
     layer)`` to its :class:`~repro.core.costs.LinkContribution`;
-    :attr:`stats` counts lookups in the first.  Searches read the one
-    evaluator of their context (see the module docstring).
+    :attr:`stats` counts lookups in the first.  ``round_table`` maps
+    ``(allow_home_moves, array_home items, copies items)`` to the scored
+    frontier of a greedy round at that assignment: one ``(move, cycles,
+    energy)`` per legal, feasible candidate, in candidate order.  It
+    holds totals, not objective values, so greedy searches of every
+    objective share it; only :class:`~repro.core.assignment.GreedyAssigner`
+    reads or writes it.  Searches read the one evaluator of their
+    context (see the module docstring).
     """
 
     def __init__(self, ctx: AnalysisContext):
@@ -175,6 +185,7 @@ class IncrementalEvaluator:
         self.stats = EvalStats()
         self.contribution_table: dict = {}
         self.link_table: dict = {}
+        self.round_table: dict = {}
         self.compute_cycles = ctx.compute_cycles
         self._live_intervals = {
             name: ctx.program.live_interval(name) for name in ctx.program.arrays

@@ -308,27 +308,41 @@ class SearchState:
             )
         return self._frontier
 
-    def score_frontier(self, moves) -> list[float | None]:
+    def frontier_totals(self, moves) -> list[tuple[float, float] | None]:
         """Score a whole frontier of moves in one batched pass.
 
-        Returns one entry per move, aligned with *moves*: the objective
-        after the move, or ``None`` when illegal/infeasible — each
-        entry bit-identical to :meth:`score` of that move.  Instead of
-        copying and re-folding the full contribution list per move, all
-        candidates share one flattened :class:`FrontierScorer` and each
-        replays only the fold suffix its substitutions disturb.
+        Returns one entry per move, aligned with *moves*: the
+        ``(cycles, energy)`` after the move, or ``None`` when
+        illegal/infeasible.  Instead of copying and re-folding the full
+        contribution list per move, all candidates share one flattened
+        :class:`FrontierScorer` and each replays only the fold suffix
+        its substitutions disturb.  The totals do not depend on the
+        objective, so greedy stores them per round (see
+        :class:`~repro.core.assignment.GreedyAssigner`).
         """
         scorer = self.frontier()
-        objective = self.objective
-        values: list[float | None] = []
+        totals: list[tuple[float, float] | None] = []
         for move in moves:
             substitutions = self._move_substitutions(move)
-            if substitutions is None:
-                values.append(None)
-                continue
-            cycles, energy = scorer.substituted_totals(substitutions)
-            values.append(objective_from_totals(cycles, energy, objective))
-        return values
+            totals.append(
+                None
+                if substitutions is None
+                else scorer.substituted_totals(substitutions)
+            )
+        return totals
+
+    def score_frontier(self, moves) -> list[float | None]:
+        """The objective of each entry of :meth:`frontier_totals`.
+
+        One entry per move, aligned with *moves*, ``None`` when
+        illegal/infeasible — each bit-identical to :meth:`score` of
+        that move.
+        """
+        objective = self.objective
+        return [
+            None if totals is None else objective_from_totals(*totals, objective)
+            for totals in self.frontier_totals(moves)
+        ]
 
     # ------------------------------------------------------------------
     # apply / undo

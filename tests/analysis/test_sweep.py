@@ -3,6 +3,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sweep
 from repro.analysis.export import result_state_json, result_to_dict
@@ -18,6 +20,7 @@ from repro.analysis.sweep import (
 from repro.apps import all_app_names
 from repro.core.assignment import Objective
 from repro.errors import ValidationError
+from repro.synth import synthetic_app_names
 from repro.units import kib
 
 
@@ -314,6 +317,38 @@ class TestStepTwoTable:
         finally:
             sweep._CTX_CACHE.clear()
         assert hits == 2 and len(keys) == 4
+
+
+class TestRoundTableOnGeneratedApps:
+    """A generated recipe's three objectives share one slot, and with it
+    the evaluator's round table, and each cell still equals the oracle."""
+
+    PLATFORMS = (
+        PlatformSpec(),
+        PlatformSpec(l1_bytes=512, l2_bytes=kib(16)),
+        PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(32)),
+    )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        platform=st.sampled_from(PLATFORMS),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_shared_slot_matches_the_oracle(self, seed, platform):
+        (app,) = synthetic_app_names(1, seed=seed)
+        sweep._CTX_CACHE.clear()
+        try:
+            for objective in Objective:
+                cell = SweepCell(app, platform, objective)
+                result, error = sweep._evaluate_cell_warm(cell)
+                expected, expected_error = sweep._evaluate_cell_guarded(cell)
+                assert error == expected_error, cell
+                if expected is not None:
+                    assert result_state_json(result) == result_state_json(
+                        expected
+                    ), cell
+        finally:
+            sweep._CTX_CACHE.clear()
 
 
 class TestCellPickling:

@@ -18,7 +18,7 @@ from repro.core.assignment import GreedyAssigner, Objective
 from repro.core.context import AnalysisContext
 from repro.core.costs import estimate_cost
 from repro.core.exhaustive import ExhaustiveAssigner
-from repro.core import incremental
+from repro.core import incremental, state
 from repro.core.incremental import IncrementalEvaluator
 from repro.errors import ValidationError
 from repro.memory.presets import embedded_3layer
@@ -229,6 +229,102 @@ class TestSharedContextTables:
             shared_builds.append(builds[0])
         assert shared_builds[0] == fresh_builds[0]
         assert shared_builds[1] < fresh_builds[1]
+
+
+class TestRoundTable:
+    """Greedy searches on one context share the rounds they reach.
+
+    ``ctx.evaluator.round_table`` holds each scored greedy round as
+    ``(move, cycles, energy)`` per legal, feasible move.  A search that
+    reaches a stored round takes its totals instead of scoring, and must
+    return exactly what a search on a fresh context returns.
+    """
+
+    RUNS = tuple(
+        (objective, allow_home_moves)
+        for objective in Objective
+        for allow_home_moves in (True, False)
+    )
+
+    # (cache_hits, cache_misses) of one run on a fresh qsdpcm context,
+    # the same as before the round table existed: a run never reaches
+    # one of its own rounds twice, so it is served none
+    FRESH_LOOKUPS = {
+        (Objective.CYCLES, True): (95, 248),
+        (Objective.ENERGY, True): (91, 241),
+        (Objective.EDP, True): (91, 241),
+        (Objective.CYCLES, False): (26, 199),
+        (Objective.ENERGY, False): (26, 199),
+        (Objective.EDP, False): (26, 199),
+    }
+
+    @staticmethod
+    def _ctx():
+        return AnalysisContext(build_app("qsdpcm"), embedded_3layer())
+
+    @staticmethod
+    def _counting_scorers(monkeypatch) -> list[int]:
+        builds = [0]
+        original = state.FrontierScorer
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(state, "FrontierScorer", counted)
+        return builds
+
+    @staticmethod
+    def _observed(ctx, objective, allow_home_moves):
+        assignment, trace = GreedyAssigner(
+            ctx, objective=objective, allow_home_moves=allow_home_moves
+        ).run()
+        stats = trace.stats
+        return (
+            assignment,
+            trace.steps,
+            trace.final_value,
+            stats.moves_evaluated,
+            stats.rounds,
+            stats.cleanup_drops,
+        )
+
+    def test_shared_context_runs_equal_fresh_runs(self, monkeypatch):
+        builds = self._counting_scorers(monkeypatch)
+        fresh = {
+            run: self._observed(self._ctx(), *run) for run in self.RUNS
+        }
+        fresh_builds, builds[0] = builds[0], 0
+        shared = self._ctx()
+        for run in self.RUNS:
+            assert self._observed(shared, *run) == fresh[run], run
+        assert builds[0] < fresh_builds
+
+    @pytest.mark.parametrize("run", RUNS, ids=lambda run: str(run))
+    def test_fresh_run_is_served_no_round(self, run):
+        ctx = self._ctx()
+        objective, allow_home_moves = run
+        _assignment, trace = GreedyAssigner(
+            ctx, objective=objective, allow_home_moves=allow_home_moves
+        ).run()
+        stats = trace.stats
+        # every round missed and stored a frontier of its own
+        assert len(ctx.evaluator.round_table) == stats.rounds
+        assert (stats.cache_hits, stats.cache_misses) == self.FRESH_LOOKUPS[run]
+
+    def test_repeat_is_served_every_round(self, monkeypatch):
+        ctx = self._ctx()
+        first = self._observed(ctx, Objective.EDP, True)
+        stored = dict(ctx.evaluator.round_table)
+        builds = self._counting_scorers(monkeypatch)
+        assert self._observed(ctx, Objective.EDP, True) == first
+        assert ctx.evaluator.round_table == stored
+        assert builds[0] == 1  # every round served: only the cleanup pass scores
+
+    def test_reference_path_leaves_the_table_alone(self):
+        ctx = self._ctx()
+        GreedyAssigner(ctx, use_incremental=False).run()
+        assert ctx.evaluator.round_table == {}
 
 
 class TestGreedyEquivalence:

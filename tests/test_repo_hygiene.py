@@ -25,8 +25,8 @@ functions named by string; both break only when a traced run reaches
 them, so a scan checks every such name still resolves, and one cell
 evaluated under counting wrappers checks that each stage its replay
 spans is still reached through the wrapped name.  Its replay also reads
-the search counters off each result in-process, so one cell is
-replayed through it in a subprocess.  Its traced run also takes a
+the search counters off each result in-process, so one recipe's
+three cells are replayed through it in a subprocess.  Its traced run also takes a
 median over every serving span it reads, so one batch served over a
 socket checks that each of those spans is still reached.
 """
@@ -196,19 +196,50 @@ def test_serving_a_cell_never_imports_numpy():
 
 REPLAY_PROBE = """
 from perfbench.inputs import grid_cells
-from perfbench.replay import replay_cells
+from perfbench.replay import CELL_TARGETS, replay_cells
 from perfbench.spans import SpanRecorder
-counters = replay_cells(grid_cells(1)[:1], SpanRecorder())
+from repro.analysis import sweep
+
+evaluate = sweep._evaluate_cell_warm
+seen = []
+
+
+def recording(cell):
+    result, error = evaluate(cell)
+    ((_program, _platform, ctx),) = sweep._CTX_CACHE.values()
+    if result is not None:
+        stats = result.scenario("mhla").trace.stats
+        seen.append((stats, len(ctx.evaluator.round_table)))
+    return result, error
+
+
+sweep._evaluate_cell_warm = recording
+cells = grid_cells(1)[:3]
+assert len({(cell.app, cell.platform) for cell in cells}) == 1, cells
+recorder = SpanRecorder()
+counters = replay_cells(cells, recorder)
 assert counters.errors == [], counters.errors
 assert counters.moves_evaluated > 0, counters
 assert counters.cache_hits + counters.cache_misses > 0, counters
+assert len(seen) == 3, seen
+for stats, _stored in seen:
+    for name in ("moves_evaluated", "rounds", "cache_hits", "cache_misses"):
+        assert type(getattr(stats, name)) is int, (name, stats)
+# the recipe's later objectives were served rounds its first one stored
+assert sum(stats.rounds for stats, _stored in seen) > seen[-1][1], seen
+spanned = {raw[2] for raw in recorder.raw}
+wrapped = {target[3] for target in CELL_TARGETS} | {"assignment.search"}
+assert wrapped <= spanned, wrapped - spanned
 """
 
 
 def test_perfbench_replay_reads_counters_a_cell_records():
     # perfbench may not change with src/, and no other test runs its
     # replay: a counter it reads (SearchStats.cache_hits, cache_misses,
-    # moves_evaluated; TeSchedule.extended_count) must stay on a result
+    # moves_evaluated; TeSchedule.extended_count) must stay on a result.
+    # One whole recipe is replayed, so some of its greedy rounds are
+    # served from the context's round table; each cell's counters must
+    # still be ints and each span perfbench takes a median over non-empty
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
