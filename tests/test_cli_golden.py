@@ -3,9 +3,10 @@
 ``repro show`` and ``repro simulate`` previously had only substring
 smoke checks; these assert the complete output against committed
 fixtures on a pinned case (voice_coder on a 2 KiB / 16 KiB platform).
-Both commands are deterministic — pure functions of the program model,
-platform parameters and the discrete-event simulation — so any diff is
-a real behaviour change.  To regenerate after an intentional change::
+``repro sweep wavelet`` pins the layer-size sweep's table and its
+Pareto line.  All three commands are deterministic — pure functions of
+the program model, platform parameters and the discrete-event
+simulation — so any diff is a real behaviour change.  To regenerate after an intentional change::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -25,6 +26,7 @@ CASES = {
     "simulate_voice_coder.txt": [
         "simulate", "voice_coder", "--l1-kib", "2", "--l2-kib", "16",
     ],
+    "sweep_wavelet.txt": ["sweep", "wavelet"],
 }
 
 

@@ -29,6 +29,9 @@ the search counters off each result in-process, so one recipe's
 three cells are replayed through it in a subprocess.  Its traced run also takes a
 median over every serving span it reads, so one batch served over a
 socket checks that each of those spans is still reached.
+
+Every name a ``repro`` module lists in ``__all__`` must resolve: a
+stale entry breaks only ``import *``, which nothing else exercises.
 """
 
 import ast
@@ -36,6 +39,7 @@ import dataclasses
 import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -471,3 +475,41 @@ def test_a_served_batch_calls_every_serving_span_perfbench_reads(
         name for name in wanted if name in serving_names and name not in reached
     ]
     assert not unreached, f"a served batch never calls: {unreached}"
+
+
+def unresolved_exports(package) -> list[str]:
+    """``module.name`` for every ``__all__`` entry that does not resolve.
+
+    Walks *package* and every module under it (``__main__`` aside: it
+    runs the CLI on import).
+    """
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+        if not info.name.endswith(".__main__")
+    ]
+    return [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+
+
+def test_every_exported_name_resolves():
+    # a stale string in __all__ fails only on ``import *``, so deleting
+    # a function can leave one behind that no other test notices
+    import repro
+
+    assert not unresolved_exports(repro), unresolved_exports(repro)
+
+
+def test_export_scan_sees_a_stale_name(tmp_path, monkeypatch):
+    package = tmp_path / "stalepkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("__all__ = ['kept']\nkept = 1\n")
+    (package / "inner.py").write_text("__all__ = ['gone']\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import stalepkg
+
+    assert unresolved_exports(stalepkg) == ["stalepkg.inner.gone"]
