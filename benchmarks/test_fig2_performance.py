@@ -6,8 +6,8 @@ execution cycles of out-of-the-box / MHLA / MHLA+TE / ideal (0-wait
 block transfers), normalised to the baseline, plus the two improvement
 percentages the paper quotes.
 
-Shape assertions (absolute numbers depend on the memory library; see
-EXPERIMENTS.md):
+Shape assertions (absolute numbers depend on the analytic energy and
+latency models of :mod:`repro.memory`):
 
 * strict ordering oob >= mhla >= mhla_te >= ideal on every app;
 * step 1 improves every app substantially (the paper band is 40-60%;

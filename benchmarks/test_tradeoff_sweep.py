@@ -2,9 +2,10 @@
 memory layer sizes" (paper, abstract and section 2: "able to find all
 the optimal trade-off points").
 
-Sweeps the L1 scratchpad from 512 B to 64 KiB for three representative
-applications (one per domain), printing the (size, cycles, energy)
-table and the Pareto-optimal sizes.
+Runs the cells of ``repro sweep APP`` — ``full_grid((app,),
+L1_SWEEP_SPECS, (Objective.EDP,))``, the L1 scratchpad from 512 B to
+64 KiB — for three representative applications (one per domain),
+printing the (size, cycles, energy) table and the Pareto-optimal sizes.
 
 Shape assertions:
 
@@ -22,17 +23,20 @@ from __future__ import annotations
 
 from benchmarks.conftest import write_artifact
 from repro.analysis.pareto import pareto_front
-from repro.analysis.report import sweep_table
-from repro.apps import build_app
-from repro.core.tradeoff import sweep_layer_sizes
-from repro.units import fmt_bytes, kib
+from repro.analysis.report import TradeoffPoint, sweep_table
+from repro.analysis.sweep import L1_SWEEP_SPECS, ParallelSweepRunner, full_grid
+from repro.core.assignment import Objective
+from repro.units import fmt_bytes
 
 SWEEP_APPS = ("wavelet", "filterbank", "motion_estimation")
-SIZES = tuple(kib(s) for s in (0.5, 1, 2, 4, 8, 16, 32, 64))
 
 
 def run_sweep(name):
-    return sweep_layer_sizes(build_app(name), sizes_bytes=SIZES)
+    cells = full_grid((name,), L1_SWEEP_SPECS, (Objective.EDP,))
+    return tuple(
+        TradeoffPoint.from_result(outcome.cell.platform.l1_bytes, outcome.require())
+        for outcome in ParallelSweepRunner().run(cells)
+    )
 
 
 def test_tradeoff_sweeps():

@@ -6,16 +6,19 @@ Reproduces the paper's headline workflow on its headline workload: a
 (``repro sweep`` in README.md's opening command list), showing
 
 * the four scenario costs at the default platform (Figure 2/3 rows);
-* the L1-size sweep with Pareto-optimal points;
+* the L1-size sweep with Pareto-optimal points: the cells of
+  ``repro sweep motion_estimation``, ``full_grid(("motion_estimation",),
+  L1_SWEEP_SPECS, (Objective.EDP,))``, L1 from 512 B to 64 KiB;
 * how the chosen copy chain changes as the scratchpad grows.
 
 Run:  python examples/motion_estimation_exploration.py
 """
 
-from repro import Mhla, embedded_3layer, sweep_layer_sizes
+from repro import Mhla, Objective, embedded_3layer
 from repro.analysis.charts import grouped_bar_chart
 from repro.analysis.pareto import pareto_front
-from repro.analysis.report import sweep_table
+from repro.analysis.report import TradeoffPoint, sweep_table
+from repro.analysis.sweep import L1_SWEEP_SPECS, ParallelSweepRunner, full_grid
 from repro.apps.motion_estimation import MotionEstimationParams, build
 from repro.core.scenarios import SCENARIO_ORDER
 from repro.units import fmt_bytes, kib
@@ -46,8 +49,13 @@ def main():
     # ------------------------------------------------------------------
     # L1 size sweep.
     # ------------------------------------------------------------------
-    sizes = [kib(s) for s in (0.5, 1, 2, 4, 8, 16, 32)]
-    points = sweep_layer_sizes(program, sizes_bytes=sizes)
+    cells = full_grid(("motion_estimation",), L1_SWEEP_SPECS, (Objective.EDP,))
+    points = [
+        TradeoffPoint.from_result(
+            outcome.cell.platform.l1_bytes, outcome.require()
+        )
+        for outcome in ParallelSweepRunner().run(cells)
+    ]
     print("L1 sweep:")
     print(sweep_table(points))
 

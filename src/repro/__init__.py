@@ -32,7 +32,6 @@ from repro.core.context import AnalysisContext
 from repro.core.mhla import Mhla, MhlaResult
 from repro.core.scenarios import ScenarioResult, evaluate_scenarios
 from repro.core.te import TeSchedule, TimeExtensionEngine
-from repro.core.tradeoff import TradeoffPoint, sweep_layer_sizes
 from repro.ir import Program, ProgramBuilder
 from repro.synth import generate_case
 from repro.verify import DifferentialHarness, fuzz
@@ -64,12 +63,10 @@ __all__ = [
     "ScenarioResult",
     "TeSchedule",
     "TimeExtensionEngine",
-    "TradeoffPoint",
     "embedded_2layer",
     "embedded_3layer",
     "evaluate_scenarios",
     "fuzz",
     "generate_case",
-    "sweep_layer_sizes",
     "__version__",
 ]

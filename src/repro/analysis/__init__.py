@@ -7,21 +7,19 @@
   sweep results (what the CLI and benchmark harness print).
 * :mod:`~repro.analysis.charts` — ASCII bar charts approximating the
   paper's Figures 2 and 3 in a terminal.
-* :mod:`~repro.analysis.records` — experiment records used to generate
-  EXPERIMENTS.md entries programmatically.
 * :mod:`~repro.analysis.sweep` — the parallel scenario-sweep runner
-  fanning the app x platform x objective grid across worker processes.
+  fanning the app x platform x objective grid across worker processes,
+  and ``L1_SWEEP_SPECS``, the platforms of the layer-size sweep.
 """
 
-from repro.analysis.pareto import ParetoPoint, pareto_front
+from repro.analysis.pareto import pareto_front
 from repro.analysis.report import (
     format_table,
     scenario_table,
     search_stats_table,
     sweep_table,
 )
-from repro.analysis.charts import bar_chart, grouped_bar_chart
-from repro.analysis.records import ExperimentRecord, render_records
+from repro.analysis.charts import grouped_bar_chart
 from repro.analysis.sweep import (
     ParallelSweepRunner,
     PlatformSpec,
@@ -32,19 +30,15 @@ from repro.analysis.sweep import (
 )
 
 __all__ = [
-    "ExperimentRecord",
     "ParallelSweepRunner",
-    "ParetoPoint",
     "PlatformSpec",
     "SweepCell",
     "SweepCellResult",
-    "bar_chart",
     "format_table",
     "full_grid",
     "grid_table",
     "grouped_bar_chart",
     "pareto_front",
-    "render_records",
     "scenario_table",
     "search_stats_table",
     "sweep_table",

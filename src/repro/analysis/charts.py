@@ -10,24 +10,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """One horizontal bar per entry, scaled to the maximum value."""
-    if not values:
-        return "(empty chart)"
-    peak = max(values.values())
-    label_width = max(len(label) for label in values)
-    lines = []
-    for label, value in values.items():
-        filled = 0 if peak == 0 else int(round(width * value / peak))
-        bar = "#" * filled
-        lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| {value:,.0f}{unit}")
-    return "\n".join(lines)
-
-
 def grouped_bar_chart(
     groups: Mapping[str, Mapping[str, float]],
     series_order: Sequence[str],

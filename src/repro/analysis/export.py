@@ -2,8 +2,8 @@
 
 Downstream users (plotting scripts, regression dashboards) need the
 numbers, not the ASCII tables.  This module serialises
-:class:`~repro.core.mhla.MhlaResult` and trade-off sweeps to plain
-dictionaries, JSON and CSV.
+:class:`~repro.core.mhla.MhlaResult` to plain dictionaries, JSON and
+CSV.
 
 Two fidelity levels exist:
 
@@ -31,7 +31,6 @@ from repro.core.costs import CostReport, LayerTraffic
 from repro.core.mhla import MhlaResult
 from repro.core.scenarios import SCENARIO_ORDER, ScenarioResult
 from repro.core.te import TeDecision, TeSchedule
-from repro.core.tradeoff import TradeoffPoint
 from repro.errors import ValidationError
 
 RESULT_STATE_VERSION = 1
@@ -306,24 +305,3 @@ def result_from_state(state: dict) -> MhlaResult:
 def result_state_json(result: MhlaResult) -> str:
     """One-line JSON form of :func:`result_to_state` (for JSONL stores)."""
     return json.dumps(result_to_state(result), separators=(",", ":"))
-
-
-def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:
-    """One CSV row per explored layer size."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["l1_bytes", "mhla_cycles", "te_cycles", "energy_nj", "copies", "edp"]
-    )
-    for point in points:
-        writer.writerow(
-            [
-                point.l1_bytes,
-                f"{point.cycles:.0f}",
-                f"{point.te_cycles:.0f}",
-                f"{point.energy_nj:.3f}",
-                point.copies,
-                f"{point.edp:.6e}",
-            ]
-        )
-    return buffer.getvalue()

@@ -10,18 +10,9 @@ on-chip bytes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    """A generic point with named objective values (all minimised)."""
-
-    label: str
-    objectives: tuple[float, ...]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:

@@ -8,10 +8,10 @@ stable across environments (no external tabulation dependency).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.mhla import MhlaResult
-from repro.core.tradeoff import TradeoffPoint
 from repro.units import fmt_bytes, fmt_cycles, fmt_energy_nj, fmt_percent
 
 
@@ -108,6 +108,36 @@ def search_stats_table(results: Sequence[MhlaResult]) -> str:
             ]
         )
     return format_table(headers, rows)
+
+
+@dataclass(frozen=True)
+class TradeoffPoint:
+    """One explored layer size of the sweep: a row of :func:`sweep_table`."""
+
+    l1_bytes: int
+    cycles: float
+    energy_nj: float
+    te_cycles: float
+    copies: int
+    result: MhlaResult
+
+    @classmethod
+    def from_result(cls, l1_bytes: int, result: MhlaResult) -> TradeoffPoint:
+        """The sweep point one explored L1 size yields."""
+        mhla = result.scenario("mhla")
+        return cls(
+            l1_bytes=l1_bytes,
+            cycles=mhla.cycles,
+            energy_nj=mhla.energy_nj,
+            te_cycles=result.scenario("mhla_te").cycles,
+            copies=mhla.assignment.copy_count(),
+            result=result,
+        )
+
+    @property
+    def edp(self) -> float:
+        """Energy-delay product at this point."""
+        return self.cycles * self.energy_nj
 
 
 def sweep_table(points: Sequence[TradeoffPoint]) -> str:

@@ -52,6 +52,7 @@ from repro.units import fmt_bytes, fmt_cycles, fmt_energy_nj, fmt_percent, kib
 
 __all__ = [
     "DEFAULT_PLATFORM_SPECS",
+    "L1_SWEEP_SPECS",
     "ParallelSweepRunner",
     "PlatformSpec",
     "SweepCell",
@@ -99,6 +100,17 @@ DEFAULT_PLATFORM_SPECS: tuple[PlatformSpec, ...] = (
     PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(16), label="small"),
 )
 """The grid's default platform pair: the paper's platform + a cramped one."""
+
+L1_SWEEP_SPECS: tuple[PlatformSpec, ...] = tuple(
+    PlatformSpec(l1_bytes=l1_bytes, l2_bytes=max(kib(64), 4 * l1_bytes))
+    for l1_bytes in (kib(size) for size in (0.5, 1, 2, 4, 8, 16, 32, 64))
+)
+"""The layer-size sweep (``repro sweep APP``): L1 from 512 B to 64 KiB.
+
+L2 stays at 64 KiB for small L1 sizes and scales to 4x L1 once the
+sweep reaches it, so the hierarchy stays strictly decreasing (an L1 as
+large as L2 would make the L2 layer pointless).
+"""
 
 
 @dataclass(frozen=True)

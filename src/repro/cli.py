@@ -85,8 +85,14 @@ from typing import Sequence
 
 from repro.analysis.charts import grouped_bar_chart
 from repro.analysis.pareto import pareto_front
-from repro.analysis.report import scenario_table, search_stats_table, sweep_table
+from repro.analysis.report import (
+    TradeoffPoint,
+    scenario_table,
+    search_stats_table,
+    sweep_table,
+)
 from repro.analysis.sweep import (
+    L1_SWEEP_SPECS,
     ParallelSweepRunner,
     PlatformSpec,
     SweepCell,
@@ -98,11 +104,6 @@ from repro.apps import all_app_names, app_descriptions, build_app
 from repro.core.assignment import Objective
 from repro.core.mhla import Mhla
 from repro.core.scenarios import SCENARIO_ORDER
-from repro.core.tradeoff import (
-    DEFAULT_L1_SWEEP_BYTES,
-    TradeoffPoint,
-    default_l2_bytes,
-)
 from repro.memory.presets import embedded_3layer
 from repro.sim import simulate
 from repro.sim.stats import relative_error
@@ -282,17 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0 if all(outcome.ok for outcome in outcomes) else 1
 
     # L1-size trade-off sweep for one application (TAB-TRADEOFF).
-    cells = tuple(
-        SweepCell(
-            app=args.app,
-            platform=PlatformSpec(
-                l1_bytes=size, l2_bytes=default_l2_bytes(size)
-            ),
-            objective=Objective.EDP,
-            assigner=assigner,
-        )
-        for size in DEFAULT_L1_SWEEP_BYTES
-    )
+    cells = full_grid((args.app,), L1_SWEEP_SPECS, (Objective.EDP,), assigner)
     points = tuple(
         TradeoffPoint.from_result(cell.platform.l1_bytes, outcome.require())
         for cell, outcome in zip(cells, executor.run(cells))

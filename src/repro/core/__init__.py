@@ -9,9 +9,7 @@ assignment step and a time extension step" (paper, section 2):
   Its moves and their O(delta) scoring live in :mod:`repro.core.state`,
   which the metaheuristics in :mod:`repro.search` walk too.
   :mod:`repro.core.exhaustive` provides a brute-force reference engine
-  for validating the greedy search on small programs, and
-  :mod:`repro.core.tradeoff` sweeps layer sizes to produce the paper's
-  trade-off curves.
+  for validating the greedy search on small programs.
 * **Step 2** (:mod:`repro.core.te`) applies the Figure 1 greedy: every
   DMA block transfer is hoisted ("time-extended") across as many
   enclosing loop iterations as dependences and the on-chip size budget
@@ -30,7 +28,6 @@ from repro.core.te import TeDecision, TeSchedule, TimeExtensionEngine
 from repro.core.exhaustive import ExhaustiveAssigner
 from repro.core.scenarios import ScenarioResult, evaluate_scenarios
 from repro.core.mhla import Mhla, MhlaResult
-from repro.core.tradeoff import TradeoffPoint, sweep_layer_sizes
 
 __all__ = [
     "AnalysisContext",
@@ -46,11 +43,9 @@ __all__ = [
     "TeDecision",
     "TeSchedule",
     "TimeExtensionEngine",
-    "TradeoffPoint",
     "TransferDirection",
     "collect_block_transfers",
     "estimate_cost",
     "evaluate_scenarios",
     "iteration_cycles",
-    "sweep_layer_sizes",
 ]

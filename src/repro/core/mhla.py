@@ -83,14 +83,6 @@ class MhlaResult:
             if name in self.scenarios
         }
 
-    def energy_by_scenario(self) -> dict[str, float]:
-        """Energy of each scenario in canonical order."""
-        return {
-            name: self.scenarios[name].energy_nj
-            for name in SCENARIO_ORDER
-            if name in self.scenarios
-        }
-
 
 class Mhla:
     """The exploration tool: step 1 (assignment) + step 2 (TE).

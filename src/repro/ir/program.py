@@ -169,14 +169,6 @@ class Program:
         """All statement contexts, cached."""
         return tuple(self.statements())
 
-    def statements_in_nest(self, nest_index: int) -> tuple[StmtContext, ...]:
-        """Statement contexts of one top-level nest."""
-        return tuple(
-            context
-            for context in self.statement_contexts
-            if context.nest_index == nest_index
-        )
-
     def array(self, name: str) -> Array:
         """Look up an array declaration by name."""
         try:
@@ -191,15 +183,6 @@ class Program:
     def total_accesses(self) -> int:
         """Total memory accesses across the whole program."""
         return sum(context.total_accesses for context in self.statement_contexts)
-
-    def accesses_per_array(self) -> dict[str, int]:
-        """Total accesses per array name."""
-        table: dict[str, int] = {}
-        for context in self.statement_contexts:
-            table[context.stmt.array_name] = (
-                table.get(context.stmt.array_name, 0) + context.total_accesses
-            )
-        return table
 
     def compute_cycles(self) -> int:
         """Pure CPU work cycles (excluding all memory access time)."""

@@ -27,7 +27,6 @@ from repro.memory.presets import (
     build_platform,
     embedded_2layer,
     embedded_3layer,
-    ideal_onchip_platform,
     Platform,
 )
 
@@ -39,5 +38,4 @@ __all__ = [
     "build_platform",
     "embedded_2layer",
     "embedded_3layer",
-    "ideal_onchip_platform",
 ]

@@ -97,10 +97,6 @@ class MemoryHierarchy:
         """True if layer *a* is strictly closer to the CPU than *b*."""
         return self.index_of(a) > self.index_of(b)
 
-    def layers_closer_than(self, layer: MemoryLayer | str) -> tuple[MemoryLayer, ...]:
-        """All layers strictly closer to the CPU than *layer*."""
-        return self.layers[self.index_of(layer) + 1 :]
-
     def parent_of(self, layer: MemoryLayer | str) -> MemoryLayer:
         """The next layer further from the CPU (the default fill source)."""
         index = self.index_of(layer)
@@ -109,11 +105,6 @@ class MemoryHierarchy:
                 f"{self.offchip.name!r} is the furthest layer and has no parent"
             )
         return self.layers[index - 1]
-
-    @property
-    def total_onchip_capacity(self) -> int:
-        """Sum of on-chip layer capacities in bytes."""
-        return sum(layer.capacity_bytes for layer in self.onchip_layers)
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""

@@ -184,15 +184,3 @@ def build_platform(
     return Platform(
         name=name, hierarchy=hierarchy, dma=dma, word_bytes=word_bytes
     )
-
-
-def ideal_onchip_platform(capacity_bytes: int = kib(1024)) -> Platform:
-    """A platform with a huge single on-chip layer (upper-bound studies)."""
-    hierarchy = MemoryHierarchy(
-        name="sdram+big",
-        layers=(
-            build_offchip_layer(),
-            build_sram_layer("big", capacity_bytes),
-        ),
-    )
-    return Platform(name="ideal-onchip", hierarchy=hierarchy, dma=DmaModel())

@@ -148,11 +148,6 @@ class CopyCandidate:
             + self.steady_fills_per_sweep * self.steady_fill_elements
         )
 
-    @property
-    def accesses_served(self) -> int:
-        """All CPU accesses redirected to this copy."""
-        return self.reads_served + self.writes_served
-
 
 @dataclass(frozen=True)
 class CandidateChainSpec:

@@ -4,16 +4,9 @@ import csv
 import io
 import json
 
-from repro.analysis.export import (
-    result_to_dict,
-    results_to_csv,
-    results_to_json,
-    sweep_to_csv,
-)
+from repro.analysis.export import result_to_dict, results_to_csv, results_to_json
 from repro.core.mhla import Mhla
-from repro.core.tradeoff import sweep_layer_sizes
 from repro.ir.pretty import format_candidates, format_program
-from repro.units import kib
 
 
 class TestExport:
@@ -35,14 +28,6 @@ class TestExport:
         rows = list(csv.reader(io.StringIO(results_to_csv([result]))))
         assert rows[0][0] == "app"
         assert len(rows) == 1 + 4  # header + four scenarios
-
-    def test_sweep_csv(self, window_program):
-        points = sweep_layer_sizes(
-            window_program, sizes_bytes=(kib(1), kib(4))
-        )
-        rows = list(csv.reader(io.StringIO(sweep_to_csv(points))))
-        assert len(rows) == 3
-        assert rows[1][0] == str(kib(1))
 
 
 class TestPretty:

@@ -1,12 +1,15 @@
-"""Unit tests for report tables, charts and experiment records."""
+"""Unit tests for report tables and charts."""
 
 import pytest
 
-from repro.analysis.charts import bar_chart, grouped_bar_chart
-from repro.analysis.records import ExperimentRecord, render_records
-from repro.analysis.report import format_table, scenario_table, sweep_table
+from repro.analysis.charts import grouped_bar_chart
+from repro.analysis.report import (
+    TradeoffPoint,
+    format_table,
+    scenario_table,
+    sweep_table,
+)
 from repro.core.mhla import Mhla
-from repro.core.tradeoff import sweep_layer_sizes
 from repro.memory.presets import embedded_3layer
 from repro.units import kib
 
@@ -38,24 +41,18 @@ class TestScenarioTable:
 
 class TestSweepTable:
     def test_one_row_per_point(self, window_program):
-        points = sweep_layer_sizes(
-            window_program, sizes_bytes=(kib(1), kib(4))
-        )
+        points = [
+            TradeoffPoint.from_result(
+                size, Mhla(window_program, embedded_3layer(l1_bytes=size)).explore()
+            )
+            for size in (kib(1), kib(4))
+        ]
         text = sweep_table(points)
         assert "1.0 KiB" in text
         assert "4.0 KiB" in text
 
 
 class TestCharts:
-    def test_bar_chart_scales_to_peak(self):
-        text = bar_chart({"a": 100.0, "b": 50.0}, width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bar_chart_empty(self):
-        assert "empty" in bar_chart({})
-
     def test_grouped_chart_normalises_to_baseline(self):
         groups = {"app": {"oob": 200.0, "mhla": 100.0}}
         text = grouped_bar_chart(groups, ("oob", "mhla"), width=10)
@@ -67,17 +64,3 @@ class TestCharts:
         text = grouped_bar_chart(groups, ("oob", "missing"))
         assert "missing" not in text
 
-
-class TestRecords:
-    def test_markdown_rendering(self):
-        record = ExperimentRecord(
-            experiment_id="FIG2",
-            artefact="Figure 2",
-            claim="40-60% gain",
-            measured="54-76%",
-            verdict="holds (shape)",
-        )
-        table = render_records([record])
-        assert table.splitlines()[0].startswith("| exp id")
-        assert "| FIG2 |" in table
-        assert "holds (shape)" in table

@@ -108,7 +108,9 @@ class TestMhlaFacade:
         result = Mhla(window_program, platform3).explore()
         assert list(result.cycles_by_scenario()) == list(SCENARIO_ORDER)
 
-    def test_energy_by_scenario(self, window_program, platform3):
+    def test_te_keeps_mhla_energy(self, window_program, platform3):
         result = Mhla(window_program, platform3).explore()
-        energies = result.energy_by_scenario()
-        assert energies["mhla"] == energies["mhla_te"]
+        assert (
+            result.scenario("mhla").energy_nj
+            == result.scenario("mhla_te").energy_nj
+        )

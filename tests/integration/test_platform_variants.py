@@ -2,8 +2,7 @@
 
 The paper's tool had to work across "architecture specific constraints
 and models"; these tests run the complete two-step flow on a 2-layer
-platform, on a library-snapped platform, on QCIF-scale app variants and
-without a DMA engine, checking the same invariants everywhere.
+platform, on QCIF-scale app variants and without a DMA engine, checking the same invariants everywhere.
 """
 
 import pytest
@@ -13,7 +12,6 @@ from repro.apps.motion_estimation import MotionEstimationParams
 from repro.apps.motion_estimation import build as build_me
 from repro.apps.params import QCIF
 from repro.core.mhla import Mhla
-from repro.memory.library import default_sram_library, platform_from_library
 from repro.memory.presets import embedded_2layer, embedded_3layer
 from repro.units import kib
 
@@ -28,15 +26,6 @@ class TestTwoLayerPlatform:
         cycles = result.cycles_by_scenario()
         assert cycles["oob"] >= cycles["mhla"] >= cycles["mhla_te"]
         assert result.mhla_speedup_fraction > 0.2
-
-
-class TestLibraryPlatform:
-    def test_flow_on_library_parts(self):
-        lib = default_sram_library()
-        platform = platform_from_library(lib, l1_bytes=kib(8))
-        result = Mhla(build_app("wavelet"), platform).explore()
-        assert result.mhla_speedup_fraction > 0.3
-        assert result.scenario("mhla").energy_nj < result.scenario("oob").energy_nj
 
 
 class TestQcifVariants:

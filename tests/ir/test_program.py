@@ -24,19 +24,10 @@ class TestStatementContexts:
         indices = {c.nest_index for c in two_nest_program.statement_contexts}
         assert indices == {0, 1}
 
-    def test_statements_in_nest(self, two_nest_program):
-        nest0 = two_nest_program.statements_in_nest(0)
-        assert all(c.nest_index == 0 for c in nest0)
-        assert len(nest0) == 2
-
 
 class TestAggregates:
     def test_total_accesses(self, stream_program):
         assert stream_program.total_accesses() == 64 * 2
-
-    def test_accesses_per_array(self, stream_program):
-        table = stream_program.accesses_per_array()
-        assert table == {"data": 64, "out": 64}
 
     def test_compute_cycles(self, stream_program):
         assert stream_program.compute_cycles() == 64 * 5

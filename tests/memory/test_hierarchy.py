@@ -41,14 +41,6 @@ class TestOrdering:
         with pytest.raises(ValidationError):
             h.parent_of("sdram")
 
-    def test_layers_closer_than(self):
-        h = make_hierarchy()
-        names = [layer.name for layer in h.layers_closer_than("sdram")]
-        assert names == ["l2", "l1"]
-
-    def test_total_onchip_capacity(self):
-        assert make_hierarchy().total_onchip_capacity == kib(64) + kib(8)
-
     def test_lookup_unknown_layer(self):
         with pytest.raises(ValidationError):
             make_hierarchy().layer("l3")

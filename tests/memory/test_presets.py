@@ -7,7 +7,6 @@ from repro.memory.presets import (
     build_sram_layer,
     embedded_2layer,
     embedded_3layer,
-    ideal_onchip_platform,
 )
 from repro.units import kib
 
@@ -50,10 +49,6 @@ class TestOtherPresets:
         platform = embedded_2layer(onchip_bytes=kib(16))
         assert len(platform.hierarchy) == 2
         assert platform.hierarchy.closest.name == "spm"
-
-    def test_ideal(self):
-        platform = ideal_onchip_platform()
-        assert platform.hierarchy.closest.capacity_bytes == kib(1024)
 
     def test_sram_layer_requires_positive_capacity(self):
         with pytest.raises(ValidationError):

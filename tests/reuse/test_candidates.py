@@ -149,5 +149,5 @@ class TestTransferAccounting:
 
     def test_deeper_levels_serve_same_accesses(self, tiny_me_ctx):
         spec = next(iter(tiny_me_ctx.specs.values()))
-        served = {c.accesses_served for c in spec.candidates}
+        served = {c.reads_served + c.writes_served for c in spec.candidates}
         assert len(served) == 1  # every candidate serves the whole group
