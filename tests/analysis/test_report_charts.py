@@ -50,6 +50,24 @@ class TestSweepTable:
         text = sweep_table(points)
         assert "1.0 KiB" in text
         assert "4.0 KiB" in text
+        # header, separator, then one line per point
+        assert len(text.splitlines()) == 2 + len(points)
+
+    def test_empty_sweep_keeps_the_header(self):
+        assert "L1 size" in sweep_table([])
+
+
+class TestTradeoffPoint:
+    def test_from_result_reads_mhla_and_te_scenarios(self, window_program):
+        result = Mhla(window_program, embedded_3layer(l1_bytes=kib(2))).explore()
+        point = TradeoffPoint.from_result(kib(2), result)
+        mhla = result.scenario("mhla")
+        assert point.l1_bytes == kib(2)
+        assert point.cycles == mhla.cycles
+        assert point.energy_nj == mhla.energy_nj
+        assert point.te_cycles == result.scenario("mhla_te").cycles
+        assert point.copies == mhla.assignment.copy_count()
+        assert point.result is result
 
 
 class TestCharts:

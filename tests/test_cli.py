@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.sweep import L1_SWEEP_SPECS
 from repro.cli import build_parser, main
+from repro.units import fmt_bytes
 
 
 class TestParser:
@@ -73,6 +75,15 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "Pareto-optimal" in out
         assert "KiB" in out
+
+    def test_sweep_lists_every_sweep_size(self, capsys):
+        assert main(["sweep", "voice_coder"]) == 0
+        table, pareto = capsys.readouterr().out.split("Pareto-optimal")
+        rows = [fmt_bytes(spec.l1_bytes) for spec in L1_SWEEP_SPECS]
+        for row in rows:
+            assert f"\n{row:>8s} " in table
+        front = pareto.split(": ", 1)[1].strip().split(", ")
+        assert front and set(front) <= set(rows)
 
     def test_sweep_parallel_output_identical(self, capsys):
         assert main(["sweep", "voice_coder"]) == 0

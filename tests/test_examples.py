@@ -10,9 +10,8 @@ import runpy
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py")
-)
+EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 def test_examples_are_found():
@@ -23,3 +22,12 @@ def test_examples_are_found():
 def test_example_runs_as_main(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_motion_estimation_example_sweeps_every_size(capsys):
+    # the example runs the cells of ``repro sweep motion_estimation``
+    path = EXAMPLES_DIR / "motion_estimation_exploration.py"
+    runpy.run_path(str(path), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "\n   512 B " in out
+    assert "\n64.0 KiB " in out
