@@ -24,12 +24,15 @@ report is contributed by exactly one group's chain (plus the
 assignment-independent compute cycles).  :func:`group_contribution`
 computes one group's share as a :class:`GroupContribution` and
 :func:`fold_contributions` re-assembles the full :class:`CostReport`.
-Contributions store their cost *terms* in accumulation order, so a fold
-replays the exact floating-point addition sequence of a monolithic
-estimate — results are bit-identical no matter which groups came from a
-cache.  The incremental search engine
-(:mod:`repro.core.incremental`) relies on this to re-score a move by
-recomputing only the touched group.
+Every finite float is a whole multiple of ``2**-1074``, so each term is
+stored as the exact integer :func:`exact` makes of it and each float
+accumulator as the integer sum of its terms.  Integer sums do not
+depend on the order of their terms, and every total is one correctly
+rounded division by :data:`SCALE`: a fold gives the same bits in any
+group order, no matter which groups came from a cache, and equals
+``math.fsum`` of the float terms.  The incremental search engine
+(:mod:`repro.core.incremental`) relies on this to re-score a move as
+``base - old + new`` over the touched groups only.
 """
 
 from __future__ import annotations
@@ -156,44 +159,51 @@ def iteration_cycles(
     return _per_execution_cycles(loop, stmt_latency) / loop.trips
 
 
+SCALE = 1 << 1074
+"""``2**1074``: every finite float times this is an exact integer."""
+
+
+def exact(term: float) -> int:
+    """*term* times :data:`SCALE`, exactly.
+
+    A finite float is ``n / d`` with ``d`` a power of two no larger than
+    ``2**1074``, so the product is ``n`` shifted left, no division.
+    """
+    numerator, denominator = term.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
 @dataclass(frozen=True)
 class GroupContribution:
     """One reference group's additive share of a :class:`CostReport`.
 
-    Float fields are stored as *term tuples* in the order a monolithic
-    estimator would accumulate them; :func:`fold_contributions` replays
-    the additions term by term so the folded totals are bit-identical to
-    a from-scratch estimate regardless of which contributions were
-    cached.  Traffic entries are exact integers:
+    Each float accumulator is held as the exact sum of its terms, scaled
+    by :data:`SCALE` (see :func:`exact`); ``cycles`` and ``energy`` are
+    the group's exact shares of the two totals.  Traffic entries are
+    exact integers:
     ``(layer, cpu_reads, cpu_writes, dma_read_words, dma_write_words)``.
     """
 
     group_key: str
     serving_layer: str
-    cpu_access_cycles_terms: tuple[float, ...]
-    cpu_access_energy_terms: tuple[float, ...]
-    stall_terms: tuple[float, ...]
-    copy_cpu_terms: tuple[float, ...]
-    transfer_energy_terms: tuple[float, ...]
-    dma_busy_terms: tuple[float, ...]
+    cpu_access_cycles: int
+    cpu_access_energy: int
+    stall: int
+    copy_cpu: int
+    transfer_energy: int
+    dma_busy: int
     fill_events: int
     transfer_words: int
     traffic: tuple[tuple[str, int, int, int, int], ...]
+    cycles: int = field(init=False, repr=False, compare=False)
+    energy: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def cycles_scalar(self) -> float:
-        """Plain sum of all cycle terms (bound computations only)."""
-        return (
-            sum(self.cpu_access_cycles_terms)
-            + sum(self.stall_terms)
-            + sum(self.copy_cpu_terms)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "cycles", self.cpu_access_cycles + self.stall + self.copy_cpu
         )
-
-    @property
-    def energy_scalar(self) -> float:
-        """Plain sum of all energy terms (bound computations only)."""
-        return sum(self.cpu_access_energy_terms) + sum(
-            self.transfer_energy_terms
+        object.__setattr__(
+            self, "energy", self.cpu_access_energy + self.transfer_energy
         )
 
 
@@ -204,12 +214,13 @@ class LinkContribution:
     Depends only on ``(candidate, copy layer, parent layer)`` plus the
     TE hiding of the candidate, so the incremental evaluator caches
     link contributions independently of the chains they appear in.
+    Accumulators are exact, as in :class:`GroupContribution`.
     """
 
-    stall_terms: tuple[float, ...]
-    copy_cpu_terms: tuple[float, ...]
-    transfer_energy_terms: tuple[float, ...]
-    dma_busy_terms: tuple[float, ...]
+    stall: int
+    copy_cpu: int
+    transfer_energy: int
+    dma_busy: int
     fill_events: int
     transfer_words: int
     traffic: tuple[tuple[str, int, int, int, int], ...]
@@ -238,10 +249,7 @@ def link_contribution(
     sweeps = candidate.fill_sweeps
     steady = candidate.steady_fills_per_sweep
 
-    stall_terms: list[float] = []
-    copy_cpu_terms: list[float] = []
-    transfer_energy_terms: list[float] = []
-    dma_busy_terms: list[float] = []
+    stall = copy_cpu = transfer_energy = dma_busy = 0
     traffic: list[tuple[str, int, int, int, int]] = []
     fill_events = 0
     transfer_words_total = 0
@@ -249,10 +257,10 @@ def link_contribution(
     if candidate.reads_served > 0:  # fill direction: parent -> copy
         if platform.dma is None:
             per_word = parent_layer.latency_cycles + copy_layer.latency_cycles
-            copy_cpu_terms.append(
+            copy_cpu += exact(
                 sweeps * (words_first + steady * words_steady) * per_word
             )
-            transfer_energy_terms.append(
+            transfer_energy += exact(
                 sweeps
                 * (words_first + steady * words_steady)
                 * (
@@ -270,9 +278,9 @@ def link_contribution(
             if not ideal:
                 wait_first = max(0.0, bt_first - hidden)
                 wait_steady = max(0.0, bt_steady - hidden)
-                stall_terms.append(sweeps * (wait_first + steady * wait_steady))
-            dma_busy_terms.append(sweeps * (bt_first + steady * bt_steady))
-            transfer_energy_terms.append(
+                stall += exact(sweeps * (wait_first + steady * wait_steady))
+            dma_busy += exact(sweeps * (bt_first + steady * bt_steady))
+            transfer_energy += exact(
                 sweeps
                 * (
                     platform.dma.transfer_energy_nj(
@@ -293,10 +301,10 @@ def link_contribution(
     if candidate.writes_served > 0:  # write-back: copy -> parent
         if platform.dma is None:
             per_word = copy_layer.latency_cycles + parent_layer.latency_cycles
-            copy_cpu_terms.append(
+            copy_cpu += exact(
                 sweeps * (words_first + steady * words_steady) * per_word
             )
-            transfer_energy_terms.append(
+            transfer_energy += exact(
                 sweeps
                 * (words_first + steady * words_steady)
                 * (
@@ -311,8 +319,8 @@ def link_contribution(
             bt_steady = platform.dma.transfer_cycles(
                 words_steady, copy_layer, parent_layer
             )
-            dma_busy_terms.append(sweeps * (bt_first + steady * bt_steady))
-            transfer_energy_terms.append(
+            dma_busy += exact(sweeps * (bt_first + steady * bt_steady))
+            transfer_energy += exact(
                 sweeps
                 * (
                     platform.dma.transfer_energy_nj(
@@ -331,10 +339,10 @@ def link_contribution(
         fill_events += candidate.total_fills
 
     return LinkContribution(
-        stall_terms=tuple(stall_terms),
-        copy_cpu_terms=tuple(copy_cpu_terms),
-        transfer_energy_terms=tuple(transfer_energy_terms),
-        dma_busy_terms=tuple(dma_busy_terms),
+        stall=stall,
+        copy_cpu=copy_cpu,
+        transfer_energy=transfer_energy,
+        dma_busy=dma_busy,
         fill_events=fill_events,
         transfer_words=transfer_words_total,
         traffic=tuple(traffic),
@@ -348,9 +356,8 @@ def assemble_contribution(
 ) -> GroupContribution:
     """Compose a :class:`GroupContribution` from its cacheable parts.
 
-    *links* must be in chain order (outermost copy first); term tuples
-    are concatenated in that order so the result is identical to a
-    monolithic per-chain computation.
+    *links* are the chain's links, outermost copy first; the result is
+    identical to a monolithic per-chain computation.
     """
     traffic: list[tuple[str, int, int, int, int]] = [
         (serving_layer.name, group.reads, group.writes, 0, 0)
@@ -360,19 +367,19 @@ def assemble_contribution(
     return GroupContribution(
         group_key=group.key,
         serving_layer=serving_layer.name,
-        cpu_access_cycles_terms=(
-            group.total_accesses * serving_layer.latency_cycles,
+        cpu_access_cycles=exact(
+            group.total_accesses * serving_layer.latency_cycles
         ),
-        cpu_access_energy_terms=(
-            group.reads * serving_layer.access_energy_nj(is_write=False),
-            group.writes * serving_layer.access_energy_nj(is_write=True),
+        cpu_access_energy=(
+            exact(group.reads * serving_layer.access_energy_nj(is_write=False))
+            + exact(
+                group.writes * serving_layer.access_energy_nj(is_write=True)
+            )
         ),
-        stall_terms=tuple(t for link in links for t in link.stall_terms),
-        copy_cpu_terms=tuple(t for link in links for t in link.copy_cpu_terms),
-        transfer_energy_terms=tuple(
-            t for link in links for t in link.transfer_energy_terms
-        ),
-        dma_busy_terms=tuple(t for link in links for t in link.dma_busy_terms),
+        stall=sum(link.stall for link in links),
+        copy_cpu=sum(link.copy_cpu for link in links),
+        transfer_energy=sum(link.transfer_energy for link in links),
+        dma_busy=sum(link.dma_busy for link in links),
         fill_events=sum(link.fill_events for link in links),
         transfer_words=sum(link.transfer_words for link in links),
         traffic=tuple(traffic),
@@ -411,39 +418,21 @@ def group_contribution(
     )
 
 
-def fold_objective_totals(
-    contributions: Iterable[GroupContribution],
-) -> tuple[float, float, float, float, float]:
-    """Fold the five float accumulators of the cost model.
+def exact_totals(
+    contributions: Iterable[GroupContribution], compute: int = 0
+) -> tuple[int, int]:
+    """Exact ``(cycles, energy)`` of *contributions*, scaled by :data:`SCALE`.
 
-    Returns ``(cpu_access_cycles, stall, copy_cpu, cpu_access_energy,
-    transfer_energy)``.  Used by the search engines to score a move
-    without materialising a full :class:`CostReport`; the addition
-    order matches :func:`fold_contributions` exactly.
+    *compute* is the exact assignment-independent compute share
+    (``exact(ctx.compute_cycles)``), added to the cycles.  Divide each
+    sum by :data:`SCALE` once for the correctly rounded total.
     """
-    cpu_access_cycles = 0.0
-    cpu_access_energy = 0.0
-    stall_cycles = 0.0
-    copy_cpu_cycles = 0.0
-    transfer_energy = 0.0
+    cycles = compute
+    energy = 0
     for contribution in contributions:
-        for term in contribution.cpu_access_cycles_terms:
-            cpu_access_cycles += term
-        for term in contribution.cpu_access_energy_terms:
-            cpu_access_energy += term
-        for term in contribution.stall_terms:
-            stall_cycles += term
-        for term in contribution.copy_cpu_terms:
-            copy_cpu_cycles += term
-        for term in contribution.transfer_energy_terms:
-            transfer_energy += term
-    return (
-        cpu_access_cycles,
-        stall_cycles,
-        copy_cpu_cycles,
-        cpu_access_energy,
-        transfer_energy,
-    )
+        cycles += contribution.cycles
+        energy += contribution.energy
+    return cycles, energy
 
 
 def fold_contributions(
@@ -452,28 +441,26 @@ def fold_contributions(
 ) -> CostReport:
     """Assemble the full :class:`CostReport` from group contributions.
 
-    Contributions must be passed in the canonical group order
-    (``ctx.specs`` iteration order) for bit-identical totals.
+    Every float field is one correctly rounded division of an exact
+    integer sum, so the report does not depend on the contributions'
+    order.
     """
     hierarchy = ctx.platform.hierarchy
     traffic: dict[str, LayerTraffic] = {
         layer.name: LayerTraffic() for layer in hierarchy
     }
-    contribution_list = list(contributions)
-    (
-        cpu_access_cycles,
-        stall_cycles,
-        copy_cpu_cycles,
-        cpu_access_energy,
-        transfer_energy,
-    ) = fold_objective_totals(contribution_list)
-    dma_busy = 0.0
+    cpu_access_cycles = stall = copy_cpu = 0
+    cpu_access_energy = transfer_energy = dma_busy = 0
     fill_events = 0
     transfer_words_total = 0
 
-    for contribution in contribution_list:
-        for term in contribution.dma_busy_terms:
-            dma_busy += term
+    for contribution in contributions:
+        cpu_access_cycles += contribution.cpu_access_cycles
+        stall += contribution.stall
+        copy_cpu += contribution.copy_cpu
+        cpu_access_energy += contribution.cpu_access_energy
+        transfer_energy += contribution.transfer_energy
+        dma_busy += contribution.dma_busy
         fill_events += contribution.fill_events
         transfer_words_total += contribution.transfer_words
         for name, cpu_r, cpu_w, dma_r, dma_w in contribution.traffic:
@@ -484,21 +471,17 @@ def fold_contributions(
             record.dma_write_words += dma_w
 
     compute = ctx.compute_cycles
-    total_cycles = (
-        compute + cpu_access_cycles + stall_cycles + copy_cpu_cycles
-    )
-    total_energy = cpu_access_energy + transfer_energy
-
+    cycles = exact(compute) + cpu_access_cycles + stall + copy_cpu
     return CostReport(
-        cycles=total_cycles,
+        cycles=cycles / SCALE,
         compute_cycles=compute,
-        cpu_access_cycles=cpu_access_cycles,
-        stall_cycles=stall_cycles,
-        copy_cpu_cycles=copy_cpu_cycles,
-        energy_nj=total_energy,
-        cpu_access_energy_nj=cpu_access_energy,
-        transfer_energy_nj=transfer_energy,
-        dma_busy_cycles=dma_busy,
+        cpu_access_cycles=cpu_access_cycles / SCALE,
+        stall_cycles=stall / SCALE,
+        copy_cpu_cycles=copy_cpu / SCALE,
+        energy_nj=(cpu_access_energy + transfer_energy) / SCALE,
+        cpu_access_energy_nj=cpu_access_energy / SCALE,
+        transfer_energy_nj=transfer_energy / SCALE,
+        dma_busy_cycles=dma_busy / SCALE,
         fill_events=fill_events,
         transfer_words=transfer_words_total,
         traffic=traffic,

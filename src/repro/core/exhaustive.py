@@ -11,9 +11,10 @@ global optimum of the objective.  Two modes:
   capacity (occupancy is additive, so no completion can recover), when
   an option's chain is illegal, or when a per-group lower bound on the
   objective proves the subtree cannot beat the incumbent.  The bound
-  compares with a 1e-9 relative slack so float rounding can never
-  prune the true optimum, and leaves are scored with the exact
-  canonical-order fold — the optimum is identical to full enumeration.
+  adds rounded per-group scalars and compares with a 1e-9 relative
+  slack, so float rounding can never prune the true optimum; leaves are
+  scored from the exact integer sums of the chosen contributions — the
+  optimum is identical to full enumeration.
 * ``prune=False`` — the straight product enumeration (the historical
   reference), scoring every complete assignment.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.assignment import Objective, objective_value
 from repro.core.context import AnalysisContext, Assignment
-from repro.core.costs import GroupContribution, fold_objective_totals
+from repro.core.costs import SCALE, GroupContribution, exact
 from repro.core.incremental import OccupancyLedger
 from repro.errors import AssignmentError, ValidationError
 from repro.memory.hierarchy import MemoryHierarchy
@@ -267,8 +268,8 @@ class ExhaustiveAssigner:
                     option=option,
                     contribution=contribution,
                     claims=claims,
-                    cycles_scalar=contribution.cycles_scalar,
-                    energy_scalar=contribution.energy_scalar,
+                    cycles_scalar=contribution.cycles / SCALE,
+                    energy_scalar=contribution.energy / SCALE,
                 )
             )
         return rows
@@ -283,17 +284,15 @@ class ExhaustiveAssigner:
         }
         array_names = sorted(ctx.program.arrays)
         per_array = [self._home_options(name) for name in array_names]
-        spec_position = {key: i for i, key in enumerate(ctx.specs)}
-        depth_to_position = [spec_position[key] for key in group_keys]
         group_count = len(group_keys)
         compute = evaluator.compute_cycles
+        compute_exact = exact(compute)
         use_edp = self.objective is Objective.EDP
         use_cycles = self.objective is Objective.CYCLES
 
         best_assignment: Assignment | None = None
         best_value = float("inf")
         counters = {"evaluated": 0, "feasible": 0, "pruned": 0}
-        chosen: list[GroupContribution | None] = [None] * group_count
         option_path: list[tuple[tuple[str, str], ...]] = [()] * group_count
 
         def charge_node() -> None:
@@ -335,22 +334,22 @@ class ExhaustiveAssigner:
                     row.energy_scalar for row in legal
                 )
 
-            def descend(depth: int, partial_cycles: float, partial_energy: float) -> None:
+            def descend(
+                depth: int,
+                partial_cycles: float,
+                partial_energy: float,
+                exact_cycles: int,
+                exact_energy: int,
+            ) -> None:
+                # partial_* are rounded scalar sums for the bounds;
+                # exact_* are the chosen contributions' exact sums
                 nonlocal best_assignment, best_value
                 if depth == group_count:
                     counters["feasible"] += 1
-                    (
-                        cpu_access_cycles,
-                        stall_cycles,
-                        copy_cpu_cycles,
-                        cpu_access_energy,
-                        transfer_energy,
-                    ) = fold_objective_totals(chosen)
-                    cycles = (
-                        compute + cpu_access_cycles + stall_cycles + copy_cpu_cycles
+                    value = self._objective(
+                        (compute_exact + exact_cycles) / SCALE,
+                        exact_energy / SCALE,
                     )
-                    energy = cpu_access_energy + transfer_energy
-                    value = self._objective(cycles, energy)
                     if value < best_value:
                         best_value = value
                         best_assignment = Assignment(
@@ -392,17 +391,18 @@ class ExhaustiveAssigner:
                         if not ledger.add(layer_name, nest, nest, nbytes):
                             fits = False
                     if fits:
-                        chosen[depth_to_position[depth]] = row.contribution
                         option_path[depth] = row.option
                         descend(
                             depth + 1,
                             partial_cycles + row.cycles_scalar,
                             partial_energy + row.energy_scalar,
+                            exact_cycles + row.contribution.cycles,
+                            exact_energy + row.contribution.energy,
                         )
                     for layer_name, nest, nbytes in row.claims:
                         ledger.remove(layer_name, nest, nest, nbytes)
 
-            descend(0, 0.0, 0.0)
+            descend(0, 0.0, 0.0, 0, 0)
 
         if best_assignment is None:
             raise AssignmentError("no feasible assignment found")

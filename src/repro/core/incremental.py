@@ -11,10 +11,9 @@ groups):
   :class:`~repro.core.costs.GroupContribution` records (and their
   chain legality) on the key ``(group_key, array home layer, selected
   copies tuple)`` — the only state a group's cost depends on.  Scoring
-  an assignment folds the cached contributions in canonical group
-  order, which is bit-identical to a from-scratch
-  :func:`~repro.core.costs.estimate_cost` because contributions store
-  their cost terms in accumulation order.  Each
+  an assignment sums the cached contributions' exact integers, which is
+  bit-identical to a from-scratch
+  :func:`~repro.core.costs.estimate_cost` in any group order.  Each
   :class:`~repro.core.context.AnalysisContext` has exactly one
   evaluator (:attr:`~repro.core.context.AnalysisContext.evaluator`),
   and its contribution and link tables are pure functions of that
@@ -31,7 +30,7 @@ groups):
   a single claim delta against the touched steps instead of rebuilding
   the full occupancy map from every claim.
 
-Both caches are exact: integer occupancy arithmetic is order
+Both caches are exact: integer cost and occupancy arithmetic is order
 independent, and chain validation depends only on the cache key.
 """
 
@@ -42,12 +41,14 @@ from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
 from repro.core.costs import (
+    SCALE,
     CostReport,
     GroupContribution,
     LinkContribution,
     assemble_contribution,
+    exact,
+    exact_totals,
     fold_contributions,
-    fold_objective_totals,
     link_contribution,
 )
 from repro.errors import ValidationError
@@ -187,6 +188,7 @@ class IncrementalEvaluator:
         self.link_table: dict = {}
         self.round_table: dict = {}
         self.compute_cycles = ctx.compute_cycles
+        self._compute_exact = exact(self.compute_cycles)
         self._live_intervals = {
             name: ctx.program.live_interval(name) for name in ctx.program.arrays
         }
@@ -330,7 +332,7 @@ class IncrementalEvaluator:
         )
 
     def contributions(self, assignment: Assignment) -> list[GroupContribution]:
-        """All group contributions in canonical (``ctx.specs``) order.
+        """All group contributions, in ``ctx.specs`` order.
 
         Raises :class:`ValidationError` if any chain is illegal — an
         assignment built from accepted moves never is.
@@ -347,7 +349,7 @@ class IncrementalEvaluator:
         return result
 
     def group_index(self, group_key: str) -> int:
-        """Position of a group in the canonical contribution order."""
+        """Position of a group in :meth:`contributions` lists."""
         return self._group_index[group_key]
 
     def candidate_bytes(self, uid: str) -> int:
@@ -362,26 +364,25 @@ class IncrementalEvaluator:
     # totals
     # ------------------------------------------------------------------
 
+    def exact_totals(
+        self, contributions: list[GroupContribution]
+    ) -> tuple[int, int]:
+        """Exact (cycles, energy) of a contribution list, scaled by ``SCALE``.
+
+        Compute cycles included; see :func:`~repro.core.costs.exact_totals`.
+        """
+        return exact_totals(contributions, self._compute_exact)
+
     def totals_of(
         self, contributions: list[GroupContribution]
     ) -> tuple[float, float]:
-        """(cycles, energy) of a canonical-order contribution list.
+        """(cycles, energy) of a contribution list, in any group order.
 
-        Bit-identical to the totals of ``estimate_cost``'s report: the
-        fold replays the same term additions in the same order.
+        Bit-identical to the totals of ``estimate_cost``'s report: both
+        round the same exact sums once.
         """
-        (
-            cpu_access_cycles,
-            stall_cycles,
-            copy_cpu_cycles,
-            cpu_access_energy,
-            transfer_energy,
-        ) = fold_objective_totals(contributions)
-        cycles = (
-            self.compute_cycles + cpu_access_cycles + stall_cycles + copy_cpu_cycles
-        )
-        energy = cpu_access_energy + transfer_energy
-        return cycles, energy
+        cycles, energy = self.exact_totals(contributions)
+        return cycles / SCALE, energy / SCALE
 
     def cycles_energy(self, assignment: Assignment) -> tuple[float, float]:
         """Total (cycles, energy) of an assignment."""

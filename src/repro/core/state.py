@@ -8,9 +8,10 @@ gives.  :class:`SearchState` packages exactly that:
 
 * the current :class:`~repro.core.context.Assignment` (replaced, never
   mutated, so snapshots are free — an incumbent is just a reference);
-* the canonical-order list of cached per-group contributions, so
-  scoring a trial move is "substitute one entry, fold the totals" —
-  bit-identical to scoring the trial assignment from scratch;
+* the list of cached per-group contributions and their exact integer
+  totals, so scoring a trial move is ``base - old + new`` over the
+  groups it touches — O(1) per group, and bit-identical to scoring the
+  trial assignment from scratch;
 * a live :class:`~repro.core.incremental.OccupancyLedger`, so capacity
   feasibility of a move is a pure probe.
 
@@ -36,7 +37,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.context import AnalysisContext, Assignment
-from repro.core.frontier import FrontierScorer
+from repro.core.costs import SCALE
 from repro.core.incremental import OccupancyLedger
 from repro.errors import ValidationError
 
@@ -163,7 +164,8 @@ class SearchState:
         self.contribs = self.evaluator.contributions(self.assignment)
         self.ledger: OccupancyLedger = self.evaluator.ledger_for(self.assignment)
         self.value = self.fold_value(self.contribs)
-        self._frontier: FrontierScorer | None = None
+        # exact (cycles, energy) of self.contribs, scaled by SCALE
+        self.totals = self.evaluator.exact_totals(self.contribs)
         hierarchy = ctx.platform.hierarchy
         self._onchip = tuple(layer.name for layer in hierarchy.onchip_layers)
         self._offchip = hierarchy.offchip.name
@@ -181,7 +183,7 @@ class SearchState:
     # ------------------------------------------------------------------
 
     def fold_value(self, contribs) -> float:
-        """Objective of a canonical-order contribution list (exact fold)."""
+        """Objective of a full contribution list, summed from scratch."""
         cycles, energy = self.evaluator.totals_of(contribs)
         return objective_from_totals(cycles, energy, self.objective)
 
@@ -287,7 +289,7 @@ class SearchState:
 
         A pure probe: neither the assignment nor the ledger changes.
         This is the per-move reference path — it substitutes into a
-        copy of the full contribution list and folds it whole; the
+        copy of the full contribution list and sums it whole; the
         batched :meth:`score_frontier` must stay bit-identical to it.
         """
         substitutions = self._move_substitutions(move)
@@ -295,40 +297,31 @@ class SearchState:
             return None
         return self._substituted(substitutions)
 
-    def frontier(self) -> FrontierScorer:
-        """The struct-of-arrays scorer of the *current* contributions.
-
-        Built lazily and invalidated by :meth:`apply`, so engines that
-        score whole neighborhoods between applies amortise one
-        flattening pass over every candidate move.
-        """
-        if self._frontier is None:
-            self._frontier = FrontierScorer(
-                self.contribs, self.evaluator.compute_cycles
-            )
-        return self._frontier
-
     def frontier_totals(self, moves) -> list[tuple[float, float] | None]:
         """Score a whole frontier of moves in one batched pass.
 
         Returns one entry per move, aligned with *moves*: the
         ``(cycles, energy)`` after the move, or ``None`` when
-        illegal/infeasible.  Instead of copying and re-folding the full
-        contribution list per move, all candidates share one flattened
-        :class:`FrontierScorer` and each replays only the fold suffix
-        its substitutions disturb.  The totals do not depend on the
-        objective, so greedy stores them per round (see
+        illegal/infeasible.  Instead of copying and re-summing the full
+        contribution list per move, each move adjusts the exact base
+        :attr:`totals` by the groups it substitutes.  The totals do not
+        depend on the objective, so greedy stores them per round (see
         :class:`~repro.core.assignment.GreedyAssigner`).
         """
-        scorer = self.frontier()
+        base_cycles, base_energy = self.totals
+        contribs = self.contribs
         totals: list[tuple[float, float] | None] = []
         for move in moves:
             substitutions = self._move_substitutions(move)
-            totals.append(
-                None
-                if substitutions is None
-                else scorer.substituted_totals(substitutions)
-            )
+            if substitutions is None:
+                totals.append(None)
+                continue
+            cycles, energy = base_cycles, base_energy
+            for index, contribution in substitutions:
+                old = contribs[index]
+                cycles += contribution.cycles - old.cycles
+                energy += contribution.energy - old.energy
+            totals.append((cycles / SCALE, energy / SCALE))
         return totals
 
     def score_frontier(self, moves) -> list[float | None]:
@@ -385,13 +378,18 @@ class SearchState:
                 self.ledger, move.array_name, move.old_layer, move.new_layer
             )
             touched = evaluator.groups_of_array(move.array_name)
+        cycles, energy = self.totals
         for group_key in touched:
             home, selections = evaluator.group_state(self.assignment, group_key)
-            self.contribs[evaluator.group_index(group_key)] = (
-                evaluator.contribution_or_none(group_key, home, selections)
+            index = evaluator.group_index(group_key)
+            old = self.contribs[index]
+            new = self.contribs[index] = evaluator.contribution_or_none(
+                group_key, home, selections
             )
+            cycles += new.cycles - old.cycles
+            energy += new.energy - old.energy
+        self.totals = (cycles, energy)
         self.value = value
-        self._frontier = None  # contributions changed; scorer is stale
 
     def inverse(self, move: Move) -> Move:
         """The move that exactly undoes *move*."""

@@ -1,7 +1,7 @@
 """Constructive beam search over per-group copy selections.
 
 Where annealing and tabu *perturb* a complete assignment, beam search
-*constructs* one: groups are decided in canonical order, and at each
+*constructs* one: groups are decided in ``ctx.specs`` order, and at each
 depth only the :data:`WIDTH` best partial assignments survive.  A
 partial is scored optimistically-exactly: chosen groups contribute
 their selected chains, undecided groups their chain under the current
@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.costs import SCALE
 from repro.core.exhaustive import group_options
-from repro.core.frontier import FrontierScorer
 from repro.core.incremental import OccupancyLedger
 from repro.core.state import SearchState, objective_from_totals
 from repro.search.engine import Incumbent, SearchEngine
@@ -43,11 +43,16 @@ still ranks everything that was scored."""
 
 @dataclass
 class _Partial:
-    """One beam entry: selections so far + its ledger + exact score."""
+    """One beam entry: selections so far + its ledger + exact score.
+
+    ``totals`` is the exact ``(cycles, energy)`` of ``contribs``, scaled
+    by :data:`~repro.core.costs.SCALE`.
+    """
 
     selections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
     ledger: OccupancyLedger
     contribs: list
+    totals: tuple[int, int]
     value: float
 
 
@@ -55,16 +60,16 @@ class _Partial:
 class _Expansion:
     """One scored (partial x option) candidate, pre-materialisation.
 
-    The width x branch expansion is scored through the parent partial's
-    :class:`FrontierScorer` (one flattening amortised over every option
-    of that parent); the full contribution list is only copied for the
-    WIDTH survivors that actually enter the next beam.
+    An option is scored in O(1) from its parent's exact totals, so the
+    full contribution list is only copied for the WIDTH survivors that
+    actually enter the next beam.
     """
 
     parent: _Partial
     option: tuple[tuple[str, str], ...]
     ledger: OccupancyLedger
     contribution: object
+    totals: tuple[int, int]
     value: float
 
 
@@ -87,13 +92,14 @@ class BeamSearch(SearchEngine):
         for group_key in group_keys:
             for uid, _layer in tuple(empty.copies.get(group_key, ())):
                 empty = empty.without_copy(group_key, uid)
+        contribs = evaluator.contributions(empty)
         root = _Partial(
             selections=(),
             ledger=evaluator.ledger_for(empty),
-            contribs=list(evaluator.contributions(empty)),
-            value=0.0,
+            contribs=contribs,
+            totals=evaluator.exact_totals(contribs),
+            value=state.fold_value(contribs),
         )
-        root.value = state.fold_value(root.contribs)
         beam = [root]
 
         for depth, group_key in enumerate(group_keys):
@@ -104,11 +110,8 @@ class BeamSearch(SearchEngine):
             options = group_options(self.ctx.platform.hierarchy, spec)
             grown: list[_Expansion] = []
             for partial in beam:
-                # One flattened scorer per parent partial, shared by
-                # all of its options (each substitutes the same index).
-                scorer = FrontierScorer(
-                    partial.contribs, evaluator.compute_cycles
-                )
+                base_cycles, base_energy = partial.totals
+                old = partial.contribs[index]
                 scored = 0
                 for option in options:
                     if budget.exhausted() or scored >= MAX_OPTIONS_PER_GROUP:
@@ -131,17 +134,17 @@ class BeamSearch(SearchEngine):
                     if not fits:
                         continue
                     scored += 1
-                    cycles, energy = scorer.substituted_totals(
-                        ((index, contribution),)
-                    )
+                    cycles = base_cycles - old.cycles + contribution.cycles
+                    energy = base_energy - old.energy + contribution.energy
                     grown.append(
                         _Expansion(
                             parent=partial,
                             option=option,
                             ledger=ledger,
                             contribution=contribution,
+                            totals=(cycles, energy),
                             value=objective_from_totals(
-                                cycles, energy, self.objective
+                                cycles / SCALE, energy / SCALE, self.objective
                             ),
                         )
                     )
@@ -162,6 +165,7 @@ class BeamSearch(SearchEngine):
                         + ((group_key, expansion.option),),
                         ledger=expansion.ledger,
                         contribs=contribs,
+                        totals=expansion.totals,
                         value=expansion.value,
                     )
                 )

@@ -42,14 +42,18 @@ from repro.memory.presets import PLATFORM_MODEL_VERSION
 from repro.search.config import AssignerSpec
 from repro.synth.spec import AppRefSpec, CaseSpec
 
-KEY_FORMAT_VERSION = 3
-"""Bumped when the key payload layout changes (invalidates all caches).
+KEY_FORMAT_VERSION = 4
+"""Bumped when the key payload layout or the results it names change
+(invalidates all caches).
 
 Version 2 folds the assigner recipe (:class:`AssignerSpec`) into the
 ``search`` section: a portfolio sweep and a greedy sweep describe
 different computations and must never share a memoized result.
 Version 3 keys the state without search-effort counters, so no key
-names two different byte strings for one cell.
+names two different byte strings for one cell.  Version 4 names
+results whose costs are exact sums rounded once, not left-to-right
+float folds; about half the energies move in the last bit, and with
+them a few step-1 choices.
 """
 
 _CONTENT_KEY_RE = re.compile(r"^[0-9a-f]{64}$")

@@ -55,6 +55,14 @@ PINNED = {
             "f091c55ecc54f3d0a00dd957d97b3c8a89c5489473dbee843e386bf2451aeb9a"
         ),
     },
+    (4, 1, 1): {
+        "full_grid": (
+            "5dcc5e771197b7a19c2400d5c707133cfded50f62918f3c5d7d7177723a3457d"
+        ),
+        "synthetic_grid_50": (
+            "ce09c7931fe6a8e5367d4d998b220d893fc2c8a7bce89c95e6403babe15aebd9"
+        ),
+    },
 }
 
 

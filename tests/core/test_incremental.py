@@ -263,16 +263,16 @@ class TestRoundTable:
         return AnalysisContext(build_app("qsdpcm"), embedded_3layer())
 
     @staticmethod
-    def _counting_scorers(monkeypatch) -> list[int]:
-        builds = [0]
-        original = state.FrontierScorer
+    def _counting_passes(monkeypatch) -> list[int]:
+        passes = [0]
+        original = state.SearchState.frontier_totals
 
-        def counted(*args, **kwargs):
-            builds[0] += 1
-            return original(*args, **kwargs)
+        def counted(self, moves):
+            passes[0] += 1
+            return original(self, moves)
 
-        monkeypatch.setattr(state, "FrontierScorer", counted)
-        return builds
+        monkeypatch.setattr(state.SearchState, "frontier_totals", counted)
+        return passes
 
     @staticmethod
     def _observed(ctx, objective, allow_home_moves):
@@ -290,15 +290,15 @@ class TestRoundTable:
         )
 
     def test_shared_context_runs_equal_fresh_runs(self, monkeypatch):
-        builds = self._counting_scorers(monkeypatch)
+        passes = self._counting_passes(monkeypatch)
         fresh = {
             run: self._observed(self._ctx(), *run) for run in self.RUNS
         }
-        fresh_builds, builds[0] = builds[0], 0
+        fresh_passes, passes[0] = passes[0], 0
         shared = self._ctx()
         for run in self.RUNS:
             assert self._observed(shared, *run) == fresh[run], run
-        assert builds[0] < fresh_builds
+        assert passes[0] < fresh_passes
 
     @pytest.mark.parametrize("run", RUNS, ids=lambda run: str(run))
     def test_fresh_run_is_served_no_round(self, run):
@@ -316,10 +316,10 @@ class TestRoundTable:
         ctx = self._ctx()
         first = self._observed(ctx, Objective.EDP, True)
         stored = dict(ctx.evaluator.round_table)
-        builds = self._counting_scorers(monkeypatch)
+        passes = self._counting_passes(monkeypatch)
         assert self._observed(ctx, Objective.EDP, True) == first
         assert ctx.evaluator.round_table == stored
-        assert builds[0] == 1  # every round served: only the cleanup pass scores
+        assert passes[0] == 1  # every round served: only the cleanup pass scores
 
     def test_reference_path_leaves_the_table_alone(self):
         ctx = self._ctx()

@@ -1,13 +1,12 @@
 """Hypothesis battery: batched frontier scoring is bit-identical.
 
-The batched path (:meth:`SearchState.score_frontier` over a
-:class:`~repro.core.frontier.FrontierScorer`) replays fold *suffixes*
-instead of refolding the whole contribution list per move.  Floating
-point is not associative, so "mathematically equal" is not enough —
-these properties pin **bit identity** (``==`` on floats, no tolerance)
-between the batched path and the per-move reference
-(:meth:`SearchState.score`) across arbitrary generated cases and
-seeded walks with applies in between.
+The batched path (:meth:`SearchState.score_frontier`) scores each move
+in O(1) as ``base - old + new`` over the exact integer totals of the
+groups it substitutes, instead of re-summing the whole contribution
+list per move.  These properties pin **bit identity** (``==`` on
+floats, no tolerance) between the batched path and the per-move
+reference (:meth:`SearchState.score`) across arbitrary generated cases
+and seeded walks with applies in between.
 
 Deadlines are disabled for the same reason as the move-property
 battery: an example builds a whole analysis context.
@@ -59,24 +58,16 @@ class TestFrontierBitIdentity:
             ]
             for move in moves:  # apply the first legal candidate
                 if state.score(move) is not None:
-                    state.apply(move)  # invalidates the cached scorer
+                    state.apply(move)  # moves the scoring base
                     break
 
     @given(case=CASE_SEEDS, walk=WALK_SEEDS)
     @settings(max_examples=20, deadline=None)
-    def test_base_totals_match_reference_fold(self, case, walk):
+    def test_base_totals_match_a_fresh_sum(self, case, walk):
         state = _state_for(case)
         rng = random.Random(walk)
         for _ in range(5):
             move = state.propose(rng)
             if move is not None and state.score(move) is not None:
-                state.apply(move)
-        scorer = state.frontier()
-        assert scorer.base_totals() == state.evaluator.totals_of(
-            state.contribs
-        )
-
-    def test_empty_substitutions_return_base_totals(self):
-        state = _state_for(1)
-        scorer = state.frontier()
-        assert scorer.substituted_totals(()) == scorer.base_totals()
+                state.apply(move)  # updates the base by old -> new
+        assert state.totals == state.evaluator.exact_totals(state.contribs)

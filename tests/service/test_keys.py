@@ -137,7 +137,7 @@ class TestCellKeys:
             objective=Objective.EDP,
         )
         assert cell_key(cell) == (
-            "b73bf543917ff859df94e97fef0c84e25073714bce341b924243941f1d958935"
+            "6d4cfe2a61176c81c7adb06eb61faccb01258ebbb60c14439cb256c4c138b7e4"
         )
 
 

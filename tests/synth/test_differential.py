@@ -13,7 +13,7 @@ import pytest
 
 import repro.core.incremental
 import repro.core.te
-from repro.core.costs import link_contribution
+from repro.core.costs import exact, link_contribution
 from repro.errors import ValidationError
 from repro.ir.builder import ProgramBuilder
 from repro.memory.presets import embedded_3layer
@@ -53,7 +53,7 @@ class TestCleanTree:
 def _skewed_link_contribution(*args, **kwargs):
     """The real link cost plus one phantom stall cycle."""
     link = link_contribution(*args, **kwargs)
-    return dataclasses.replace(link, stall_terms=link.stall_terms + (1.0,))
+    return dataclasses.replace(link, stall=link.stall + exact(1.0))
 
 
 class TestInjectedFaults:

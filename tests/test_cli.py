@@ -112,13 +112,11 @@ class TestSubcommands:
         import dataclasses
 
         import repro.core.incremental
-        from repro.core.costs import link_contribution
+        from repro.core.costs import exact, link_contribution
 
         def skewed(*args, **kwargs):
             link = link_contribution(*args, **kwargs)
-            return dataclasses.replace(
-                link, stall_terms=link.stall_terms + (1.0,)
-            )
+            return dataclasses.replace(link, stall=link.stall + exact(1.0))
 
         monkeypatch.setattr(
             repro.core.incremental, "link_contribution", skewed
