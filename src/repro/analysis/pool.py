@@ -21,8 +21,9 @@ the largest grids.
   everywhere;
 * **contiguous batch dispatch** instead of ``chunksize=1`` — one IPC
   round-trip carries a slice of adjacent items, so workers amortise
-  pickling overhead *and* see cache-friendly runs of cells that share
-  an (app, platform) analysis context;
+  pickling overhead; the sweep runner's items are whole recipes (all
+  cells of one (app, platform) pair), so adjacent recipes of one app
+  also share the worker's program analysis;
 * a **per-batch fallback**: when the pool dies mid-dispatch (a worker
   segfault, interpreter teardown), the affected batches run in-parent
   through the same function — callers still get a complete,
@@ -142,10 +143,10 @@ class PersistentPool:
     def _slice(items, jobs: int):
         """Contiguous batches: ~:data:`BATCHES_PER_WORKER` per worker.
 
-        Contiguity is deliberate — grid cells arrive app-major, so a
-        batch is a run of cells sharing an application (and often a
-        platform), which the worker's context slot turns into one
-        build amortised over the run.
+        Contiguity is deliberate — grid recipes arrive app-major, so a
+        batch is a run of recipes sharing an application, which the
+        worker's context slot turns into one program analysis
+        amortised over the run.
         """
         count = min(len(items), jobs * BATCHES_PER_WORKER)
         base, extra = divmod(len(items), count)

@@ -5,16 +5,19 @@ every bundled application on several platform configurations under
 each objective.  The cells are embarrassingly parallel (each is one
 independent :class:`~repro.core.mhla.Mhla` exploration), so
 :class:`ParallelSweepRunner` fans them across the process-wide
-persistent worker pool (:mod:`repro.analysis.pool`) in contiguous
-batches — the pool is created once per process and reused by every
-later sweep, so a long-lived service or fuzz loop pays the worker
-spawn cost exactly once instead of per sweep.
+persistent worker pool (:mod:`repro.analysis.pool`), one task per
+recipe — an (app, platform) pair with all of its cells — so no recipe
+is split across workers.  The pool is created once per process and
+reused by every later sweep, so a long-lived service or fuzz loop pays
+the worker spawn cost exactly once instead of per sweep.
 
 The runner keeps the current recipe's ``(program, platform,
-AnalysisContext)`` in a single slot: grid cells arrive app-major, so a
-contiguous batch is a run of cells sharing an (app, platform) pair and
-the expensive analysis precomputation happens once per run instead of
-once per cell.  The context also carries its one
+AnalysisContext)`` in a single slot, so the expensive analysis
+precomputation happens once per recipe instead of once per cell.  The
+next recipe of the same app keeps the slot's program and its
+:class:`~repro.core.context.ProgramAnalysis` (reference groups,
+candidates, dependences), which do not depend on the platform.  The
+context also carries its one
 :class:`~repro.core.incremental.IncrementalEvaluator`, whose step-1
 contribution tables are pure functions of it, so the objectives of one
 recipe build each group contribution once.  A search's hit/miss
@@ -25,8 +28,9 @@ cold ones.
 Determinism: cells are picklable *recipes* (app name + platform
 parameters + objective), workers rebuild the program/platform from the
 recipe, and results come back in exactly the submitted cell order,
-so a parallel run produces output identical to the serial path.
-``jobs <= 1`` runs the same body in process, with no pool at all;
+whatever order the recipes were evaluated in, so a parallel run
+produces output identical to the serial path.  ``jobs <= 1`` runs the
+same recipe tasks in process, with no pool at all;
 :func:`_evaluate_cell_guarded`, which builds everything per cell, is
 the stateless oracle both must match byte for byte.
 """
@@ -207,10 +211,20 @@ def _evaluate_cell_guarded(
 
 _CTX_CACHE: dict[tuple, tuple] = {}
 """Single slot: (app, platform-recipe) -> (program, platform, ctx) of
-the current run.  Grids are recipe-contiguous and the pool slices them
-contiguously, so one slot shares what a larger cache would, without
-its memory; concurrent runs of other recipes only rebuild more often."""
+the current recipe.  The runner hands each recipe's cells over together,
+so one slot shares what a larger cache would, without its memory;
+concurrent runs of other recipes only rebuild more often."""
 _CTX_LOCK = threading.Lock()  # a server may run two sweeps at once
+
+
+def _recipe_key(cell: SweepCell) -> tuple:
+    """What a cell's context depends on: its app and platform recipe."""
+    return (
+        cell.app,
+        cell.platform.kind,
+        cell.platform.l1_bytes,
+        cell.platform.l2_bytes,
+    )
 
 
 def _cached_context(cell: SweepCell):
@@ -218,26 +232,29 @@ def _cached_context(cell: SweepCell):
 
     Lives in the process across cells and batches (module globals
     survive between pool tasks), so consecutive cells of one recipe pay
-    for one analysis build and share the context's evaluator and its
+    for one context build and share the context's evaluator and its
     tables.  A new recipe replaces the slot, evaluator and tables
-    included.
+    included; when it is of the slot's app, it keeps the slot's program
+    and :class:`~repro.core.context.ProgramAnalysis`, which depend on
+    the app alone, so a layer-size sweep analyses each app once.
     """
     from repro.core.context import AnalysisContext
 
-    key = (
-        cell.app,
-        cell.platform.kind,
-        cell.platform.l1_bytes,
-        cell.platform.l2_bytes,
-    )
-    cached = _CTX_CACHE.get(key)
-    if cached is None:
-        program = build_app(cell.app)
-        platform = cell.platform.build()
-        cached = (program, platform, AnalysisContext(program, platform))
-        with _CTX_LOCK:
-            _CTX_CACHE.clear()
-            _CTX_CACHE[key] = cached
+    key = _recipe_key(cell)
+    with _CTX_LOCK:
+        slot = next(iter(_CTX_CACHE.items()), None)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    if slot is not None and slot[0][0] == cell.app:
+        program, _platform, previous = slot[1]
+        analysis = previous.analysis
+    else:
+        program, analysis = build_app(cell.app), None
+    platform = cell.platform.build()
+    cached = (program, platform, AnalysisContext(program, platform, analysis))
+    with _CTX_LOCK:
+        _CTX_CACHE.clear()
+        _CTX_CACHE[key] = cached
     return cached
 
 
@@ -264,6 +281,17 @@ def _evaluate_cell_warm(
             return result, None
     except Exception as error:  # noqa: BLE001 — worker boundary
         return None, f"{type(error).__name__}: {error}"
+
+
+def _evaluate_recipe(
+    cells: tuple[SweepCell, ...],
+) -> list[tuple[MhlaResult | None, str | None]]:
+    """Pool task: one recipe's cells through :func:`_evaluate_cell_warm`.
+
+    The runner sends every cell of a recipe in one task, so the recipe
+    builds its context once, on one worker.
+    """
+    return [_evaluate_cell_warm(cell) for cell in cells]
 
 
 def full_grid(
@@ -321,12 +349,13 @@ class ParallelSweepRunner:
     ----------
     jobs:
         Worker process count.  ``None``, 0 or 1 run serially in
-        process; larger values cap at the number of cells and dispatch
-        contiguous batches through the process-wide
-        :class:`~repro.analysis.pool.PersistentPool` (created on the
-        first parallel sweep, reused by every later one).  Results are
-        always returned in cell order, so the output is identical
-        regardless of *jobs*.
+        process; larger values cap at the number of recipes and send
+        one task per recipe (its cells in submission order) through the
+        process-wide :class:`~repro.analysis.pool.PersistentPool`
+        (created on the first parallel sweep, reused by every later
+        one).  Recipes are taken in order of first appearance, and
+        results are always returned in cell order, so the output is
+        identical regardless of *jobs* and of how recipes interleave.
     """
 
     def __init__(self, jobs: int | None = None):
@@ -341,15 +370,22 @@ class ParallelSweepRunner:
         (:meth:`SweepCellResult.require` re-raises).
         """
         cell_list = tuple(cells)
-        jobs = self.jobs or 1
-        if cell_list:
-            jobs = min(jobs, len(cell_list))
+        recipes: dict[tuple, list[int]] = {}
+        for index, cell in enumerate(cell_list):
+            recipes.setdefault(_recipe_key(cell), []).append(index)
+        tasks = [
+            tuple(cell_list[index] for index in indices)
+            for indices in recipes.values()
+        ]
+        jobs = min(self.jobs or 1, len(tasks))
         if jobs <= 1:
-            outcomes = [_evaluate_cell_warm(cell) for cell in cell_list]
+            per_recipe = [_evaluate_recipe(task) for task in tasks]
         else:
-            outcomes = get_pool().map_batched(
-                _evaluate_cell_warm, cell_list, jobs
-            )
+            per_recipe = get_pool().map_batched(_evaluate_recipe, tasks, jobs)
+        outcomes: list = [None] * len(cell_list)
+        for indices, results in zip(recipes.values(), per_recipe):
+            for index, outcome in zip(indices, results):
+                outcomes[index] = outcome
         return tuple(
             SweepCellResult(cell=cell, result=result, error=error)
             for cell, (result, error) in zip(cell_list, outcomes)

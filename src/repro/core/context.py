@@ -6,6 +6,11 @@ extensions, simulation) needs the same pre-computed facts about a
 the dependence information and the stmt-to-group mapping.  Computing
 them once in :class:`AnalysisContext` keeps the steps consistent and the
 search fast.
+
+Those facts depend on the program only, so they live in a
+:class:`ProgramAnalysis` that every context of one program may share;
+the context adds what depends on the platform: the step-1 evaluator and
+the step-2 table.
 """
 
 from __future__ import annotations
@@ -108,47 +113,26 @@ class Assignment:
         return sum(len(selections) for selections in self.copies.values())
 
 
-class AnalysisContext:
-    """Pre-computed analyses for one (program, platform) pair.
+class ProgramAnalysis:
+    """The platform-independent analyses of one program.
 
-    Besides the up-front analyses and :attr:`compute_cycles`, the
-    context owns two things that fill on demand.  :attr:`evaluator` is
-    the context's one :class:`~repro.core.incremental.IncrementalEvaluator`,
-    which holds the three step-1 tables: contributions, links and
-    greedy's scored rounds.
-    ``step2_table`` belongs to :func:`~repro.core.scenarios.step_two`:
-    it maps ``(sort_factor, array_home items, copies items)`` to the
-    ``(TeSchedule, mhla_te CostReport, ideal CostReport)`` of that
-    assignment.  Both are pure functions of the context, so every cell
-    evaluated on it — one per objective of a sweep — shares them, and
-    they live exactly as long as the context.
+    The reference groups with their candidate chains
+    (:func:`~repro.reuse.candidates.enumerate_candidates`), the
+    dependence information, the statement-to-group table and the
+    compute cycles depend on the program alone.  A layer-size sweep
+    evaluates one program on many platforms, so every
+    :class:`AnalysisContext` of that program can share one analysis.
+    Everything in it is immutable once built.
     """
 
-    def __init__(self, program: Program, platform: Platform):
+    def __init__(self, program: Program):
         self.program = program
-        self.platform = platform
         self.specs: dict[str, CandidateChainSpec] = enumerate_candidates(program)
         self.deps: DependenceInfo = analyze_dependences(program)
-        self.step2_table: dict = {}
-
-    # ------------------------------------------------------------------
-    # group lookups
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def evaluator(self) -> IncrementalEvaluator:
-        """The context's :class:`~repro.core.incremental.IncrementalEvaluator`.
-
-        Built on first use; every search on the context scores through
-        it, so they share its tables.
-        """
-        from repro.core.incremental import IncrementalEvaluator
-
-        return IncrementalEvaluator(self)
 
     @cached_property
     def compute_cycles(self) -> float:
-        """The program's compute cycles, walked once per context."""
+        """The program's compute cycles, walked once per program."""
         return float(self.program.compute_cycles())
 
     @cached_property
@@ -188,6 +172,71 @@ class AnalysisContext:
         if spec is None or uid not in spec.by_uid:
             raise ValidationError(f"unknown candidate uid {uid!r}")
         return spec.by_uid[uid]
+
+
+class AnalysisContext:
+    """Pre-computed analyses for one (program, platform) pair.
+
+    The program-level part is :attr:`analysis`, a
+    :class:`ProgramAnalysis`; pass one already built for *program* to
+    share it, or leave it out to build a fresh one.  The context
+    re-exports its ``specs``, ``deps``, ``groups``, ``compute_cycles``,
+    ``group_key_of`` and ``candidate``.
+
+    The platform-level part fills on demand.  :attr:`evaluator` is
+    the context's one :class:`~repro.core.incremental.IncrementalEvaluator`,
+    which holds the three step-1 tables: contributions, links and
+    greedy's scored rounds.
+    ``step2_table`` belongs to :func:`~repro.core.scenarios.step_two`:
+    it maps ``(sort_factor, array_home items, copies items)`` to the
+    ``(TeSchedule, mhla_te CostReport, ideal CostReport)`` of that
+    assignment.  Both are pure functions of the context, so every cell
+    evaluated on it — one per objective of a sweep — shares them, and
+    they live exactly as long as the context.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        platform: Platform,
+        analysis: ProgramAnalysis | None = None,
+    ):
+        if analysis is None:
+            analysis = ProgramAnalysis(program)
+        elif analysis.program is not program:
+            raise ValidationError(
+                f"analysis of program {analysis.program.name!r} passed "
+                f"for program {program.name!r}"
+            )
+        self.program = program
+        self.platform = platform
+        self.analysis = analysis
+        self.specs = analysis.specs
+        self.deps = analysis.deps
+        self.group_key_of = analysis.group_key_of
+        self.candidate = analysis.candidate
+        self.step2_table: dict = {}
+
+    @cached_property
+    def evaluator(self) -> IncrementalEvaluator:
+        """The context's :class:`~repro.core.incremental.IncrementalEvaluator`.
+
+        Built on first use; every search on the context scores through
+        it, so they share its tables.
+        """
+        from repro.core.incremental import IncrementalEvaluator
+
+        return IncrementalEvaluator(self)
+
+    @property
+    def compute_cycles(self) -> float:
+        """The program's compute cycles (see :class:`ProgramAnalysis`)."""
+        return self.analysis.compute_cycles
+
+    @property
+    def groups(self) -> tuple[RefGroup, ...]:
+        """All reference groups, deterministic order."""
+        return self.analysis.groups
 
     # ------------------------------------------------------------------
     # assignments

@@ -499,13 +499,32 @@ def estimate_cost(
 
     *chains*, when given, must be ``ctx.chains(assignment)``; passing
     them skips the rebuild.
+
+    A step-2 report (*te* given, or *ideal*) takes from
+    ``ctx.evaluator`` the step-1 contribution of every group it costs
+    as step 1 did: a group with no copies, and, without *ideal*, a group
+    none of whose copies has hidden cycles under *te*.  Only the other
+    groups are derived here; both paths give the same exact integers.
+    A plain estimate derives every group, so it stays the independent
+    reference the evaluator is checked against.
     """
     if chains is None:
         chains = ctx.chains(assignment)
-    return fold_contributions(
-        ctx,
-        (
-            group_contribution(ctx, chain, te=te, ideal=ideal)
-            for chain in chains.values()
-        ),
-    )
+    if te is None and not ideal:
+        return fold_contributions(
+            ctx, [group_contribution(ctx, chain) for chain in chains.values()]
+        )
+    evaluator = ctx.evaluator
+    contributions = []
+    for group_key, chain in chains.items():
+        selections = assignment.copies.get(group_key, ())
+        if selections and (
+            ideal or any(te.hidden_cycles(uid) for uid, _layer in selections)
+        ):
+            contribution = group_contribution(ctx, chain, te=te, ideal=ideal)
+        else:
+            contribution = evaluator.contribution_or_none(
+                group_key, chain.array_home_layer, selections
+            )
+        contributions.append(contribution)
+    return fold_contributions(ctx, contributions)

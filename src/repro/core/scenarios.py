@@ -106,8 +106,12 @@ def step_two(
     is then served from ``ctx.step2_table``.  The key keeps the items'
     order, so a hit is the very result a fresh run would return, TE's
     decision order included.  A miss materialises the chains once for
-    the TE run and both reports.  The cached schedule and reports are
-    shared, never mutated, by every cell that hits them.
+    the TE run and both reports.  Each report takes the step-1
+    contribution from ``ctx.evaluator`` for every group it costs as
+    step 1 did (no hidden cycles for ``mhla_te``, no copies for
+    ``ideal``) and derives only the rest (see
+    :func:`~repro.core.costs.estimate_cost`).  The cached schedule and
+    reports are shared, never mutated, by every cell that hits them.
     """
     key = (
         sort_factor,

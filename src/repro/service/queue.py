@@ -57,6 +57,7 @@ from repro.service.keys import cell_key
 from repro.service.store import (
     CLAIM_DONE,
     CLAIM_WON,
+    KIND_RESULT,
     ResultStore,
 )
 
@@ -645,17 +646,13 @@ class ExplorationService:
             return True
         return False
 
-    def run(
-        self,
-        cells: Iterable[SweepCell],
-        trace_id: str | None = None,
-    ) -> tuple[SweepCellResult, ...]:
-        """Drop-in for :meth:`ParallelSweepRunner.run`, cache-backed.
+    def _settle(self, cells: Iterable[SweepCell], trace_id: str | None, read):
+        """Submit *cells*, flush once, and read each cell's outcome.
 
-        Submits every cell, flushes once, and returns outcomes in cell
-        order.  Results always come back through the store's lossless
-        round-trip, so a cold run's output is byte-identical to the
-        warm re-run that serves the same keys from disk.
+        Returns ``read(cell, key, error)`` per cell, in cell order, once
+        its job has finished; *error* is the text a failed cell reports
+        when its result is not in the store.  The whole batch stays
+        pinned while it is read.
         """
         cell_list = tuple(cells)
         # Pin the whole batch: its results must all be live at once, so
@@ -679,23 +676,57 @@ class ExplorationService:
             for cell, key, job in zip(cell_list, keys, jobs):
                 if job is not None:
                     job.event.wait()
-                result = self.store.get_result(key)
-                if result is not None:
-                    outcomes.append(SweepCellResult(cell=cell, result=result))
-                else:
-                    error = (
-                        job.error
-                        if job is not None and job.error
-                        else "result missing"
-                    )
-                    outcomes.append(
-                        SweepCellResult(cell=cell, result=None, error=error)
-                    )
+                error = (
+                    job.error
+                    if job is not None and job.error
+                    else "result missing"
+                )
+                outcomes.append(read(cell, key, error))
             return tuple(outcomes)
         finally:
             for key in keys:
                 self.store.unpin(key)
             self.store.gc()
+
+    def run(
+        self,
+        cells: Iterable[SweepCell],
+        trace_id: str | None = None,
+    ) -> tuple[SweepCellResult, ...]:
+        """Drop-in for :meth:`ParallelSweepRunner.run`, cache-backed.
+
+        Submits every cell, flushes once, and returns outcomes in cell
+        order.  Results always come back through the store's lossless
+        round-trip, so a cold run's output is byte-identical to the
+        warm re-run that serves the same keys from disk.
+        """
+
+        def read(cell, key, error):
+            result = self.store.get_result(key)
+            if result is None:
+                return SweepCellResult(cell=cell, result=None, error=error)
+            return SweepCellResult(cell=cell, result=result)
+
+        return self._settle(cells, trace_id, read)
+
+    def run_status(
+        self,
+        cells: Iterable[SweepCell],
+        trace_id: str | None = None,
+    ) -> tuple[tuple[str, str | None], ...]:
+        """:meth:`run`'s outcomes as ``(key, error)``, rebuilding no result.
+
+        *error* is ``None`` for a cell whose result is in the store, so
+        a caller that only reports status (the ``batch`` RPC) skips
+        decoding every result.
+        """
+
+        def read(_cell, key, error):
+            if self.store.get(key, KIND_RESULT) is None:
+                return key, error
+            return key, None
+
+        return self._settle(cells, trace_id, read)
 
     def service_stats(self) -> dict:
         """Counters plus queue/store occupancy, for the ``stats`` RPC.

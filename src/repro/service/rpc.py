@@ -90,7 +90,9 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_registries
 from repro.search.config import AssignerSpec
 from repro.search.registry import ASSIGNER_NAMES
-from repro.service.keys import cell_key
+# no handler derives a key itself (the service does); the name stays
+# importable here because perfbench/spans.py wraps rpc.cell_key
+from repro.service.keys import cell_key  # noqa: F401
 from repro.service.queue import ExplorationService
 from repro.units import kib
 
@@ -322,15 +324,11 @@ class JsonRpcFrontend:
         ):
             raise _RpcError(INVALID_PARAMS, "batch needs a 'cells' array")
         cells = tuple(self._cell(cell) for cell in params["cells"])
-        outcomes = self.service.run(cells, trace_id=trace_id)
         rows = []
-        for outcome, cell in zip(outcomes, cells):
-            row = {
-                "key": cell_key(cell),
-                "status": "done" if outcome.ok else "failed",
-            }
-            if not outcome.ok:
-                row["error"] = outcome.error
+        for key, error in self.service.run_status(cells, trace_id=trace_id):
+            row = {"key": key, "status": "done" if error is None else "failed"}
+            if error is not None:
+                row["error"] = error
             rows.append(row)
         return {"outcomes": rows}
 

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.analysis.sweep` (the parallel runner)."""
 
+import sys
 import threading
 
 import pytest
@@ -349,6 +350,183 @@ class TestRoundTableOnGeneratedApps:
                     ), cell
         finally:
             sweep._CTX_CACHE.clear()
+
+
+class TestSharedProgramAnalysis:
+    """Recipes of one app share its program analysis, and every cell
+    still equals the oracle, however the recipes interleave."""
+
+    PLATFORMS = (
+        PlatformSpec(l1_bytes=kib(1), l2_bytes=kib(16)),
+        PlatformSpec(),
+    )
+
+    def _run_warm(self, cells):
+        analyses = []
+        sweep._CTX_CACHE.clear()
+        try:
+            for cell in cells:
+                outcome = observable(*sweep._evaluate_cell_warm(cell))
+                assert outcome == stateless(cell), cell
+                ((_program, _platform, ctx),) = sweep._CTX_CACHE.values()
+                analyses.append(ctx.analysis)
+        finally:
+            sweep._CTX_CACHE.clear()
+        return analyses
+
+    def test_one_app_with_platforms_alternating(self):
+        cells = tuple(
+            SweepCell("qsdpcm", platform, objective)
+            for objective in Objective
+            for platform in self.PLATFORMS
+        )
+        analyses = self._run_warm(cells)
+        assert len({id(analysis) for analysis in analyses}) == 1
+
+    def test_two_apps_alternating(self):
+        cells = tuple(
+            SweepCell(app, platform, objective)
+            for objective in (Objective.EDP, Objective.CYCLES)
+            for app in ("qsdpcm", "voice_coder")
+            for platform in self.PLATFORMS
+        )
+        analyses = self._run_warm(cells)
+        # the slot keeps one app at a time: both platforms of an app's
+        # run share one analysis, and each switch of app builds anew
+        assert len({id(analysis) for analysis in analyses}) == 4
+        for first, second in zip(analyses[::2], analyses[1::2]):
+            assert first is second
+
+    def test_threads_sharing_one_analysis_match_the_oracle(self):
+        cells = tuple(
+            SweepCell("voice_coder", platform, objective)
+            for objective in (Objective.EDP, Objective.CYCLES)
+            for platform in self.PLATFORMS
+        )
+        expected = {cell: stateless(cell) for cell in cells}
+        seen: list[tuple] = []
+        raised: list[BaseException] = []
+
+        def evaluate(offset):
+            try:
+                for step in range(3 * len(cells)):
+                    cell = cells[(offset + step) % len(cells)]
+                    seen.append(
+                        (cell, observable(*sweep._evaluate_cell_warm(cell)))
+                    )
+            except BaseException as error:  # noqa: BLE001 — reported below
+                raised.append(error)
+
+        threads = [
+            threading.Thread(target=evaluate, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sweep._CTX_CACHE.clear()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            sweep._CTX_CACHE.clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert raised == []
+        assert len(seen) == 4 * 3 * len(cells)
+        for cell, outcome in seen:
+            assert outcome == expected[cell], cell
+
+
+class TestRecipeTasks:
+    """The runner sends each recipe, all of its cells, as one task."""
+
+    @staticmethod
+    def recipe(cell):
+        return (cell.app, cell.platform)
+
+    def test_no_pool_batch_splits_a_recipe(self, monkeypatch):
+        from repro.analysis.pool import PersistentPool
+
+        # a perfbench-style app batch: 5 L1 x 3 L2 recipes x 3 objectives
+        cells = tuple(
+            SweepCell(
+                "motion_estimation",
+                PlatformSpec(l1_bytes=l1, l2_bytes=l2),
+                objective,
+            )
+            for l1 in (512, kib(1), kib(2), kib(4), kib(8))
+            for l2 in (kib(16), kib(32), kib(64))
+            for objective in Objective
+        )
+        assert len(cells) == 45
+        batches = []
+        original = PersistentPool._slice
+
+        def recorded(items, jobs):
+            sliced = original(items, jobs)
+            batches.extend(sliced)
+            return sliced
+
+        monkeypatch.setattr(PersistentPool, "_slice", staticmethod(recorded))
+        outcomes = ParallelSweepRunner(jobs=2).run(cells)
+        assert [len(batch) for batch in batches] == [4, 4, 4, 3]
+        owners = {}
+        for number, batch in enumerate(batches):
+            for task in batch:
+                assert len({self.recipe(cell) for cell in task}) == 1, task
+                assert owners.setdefault(self.recipe(task[0]), number) == number
+        assert len(owners) == 15
+        assert tuple(outcome.cell for outcome in outcomes) == cells
+        serial = ParallelSweepRunner(jobs=1).run(cells)
+        for left, right in zip(outcomes, serial):
+            assert observable(left.result, left.error) == observable(
+                right.result, right.error
+            )
+
+    @pytest.fixture(scope="class")
+    def interleaved(self):
+        """Every cell a recipe other than its neighbours'."""
+        return tuple(
+            SweepCell(app, platform, objective)
+            for objective in (Objective.EDP, Objective.CYCLES)
+            for platform in (
+                PlatformSpec(),
+                PlatformSpec(l1_bytes=kib(2), l2_bytes=kib(16)),
+            )
+            for app in ("voice_coder", "wavelet")
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interleaved_recipes_return_in_submission_order(
+        self, interleaved, jobs
+    ):
+        cells = interleaved
+        outcomes = ParallelSweepRunner(jobs=jobs).run(cells)
+        assert tuple(outcome.cell for outcome in outcomes) == cells
+        for cell, outcome in zip(cells, outcomes):
+            assert observable(outcome.result, outcome.error) == stateless(cell)
+
+    def test_interleaved_recipes_build_one_context_each(
+        self, interleaved, monkeypatch
+    ):
+        from repro.core import context
+
+        builds = []
+        original = context.AnalysisContext
+
+        def counted(*args, **kwargs):
+            builds.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(context, "AnalysisContext", counted)
+        sweep._CTX_CACHE.clear()
+        try:
+            ParallelSweepRunner(jobs=1).run(interleaved)
+        finally:
+            sweep._CTX_CACHE.clear()
+        assert len(builds) == len({self.recipe(cell) for cell in interleaved})
 
 
 class TestCellPickling:

@@ -129,6 +129,55 @@ class TestLoop:
         assert "quantum" in outcomes[2]["error"]
         assert service.stats.deduplicated == 1
 
+    def test_batch_reports_status_without_rebuilding_results(
+        self, monkeypatch
+    ):
+        # a batch answers keys and statuses only: it derives each key
+        # once and decodes no stored result; run() still returns results
+        from repro.service import queue, rpc as rpc_module, store
+
+        counts = {"cell_key": 0, "get_result": 0, "result_from_state": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for module in (queue, rpc_module):
+            monkeypatch.setattr(
+                module, "cell_key", counting("cell_key", module.cell_key)
+            )
+        monkeypatch.setattr(
+            store,
+            "result_from_state",
+            counting("result_from_state", store.result_from_state),
+        )
+        monkeypatch.setattr(
+            store.ResultStore,
+            "get_result",
+            counting("get_result", store.ResultStore.get_result),
+        )
+        other = {"app": "voice_coder", "objective": "cycles"}
+        bad = {"app": "voice_coder", "platform": {"kind": "quantum"}}
+        service = ExplorationService()
+        responses = roundtrip(
+            service, [rpc("batch", 1, cells=[VOICE_CELL, other, bad])]
+        )
+        assert counts == {"cell_key": 3, "get_result": 0, "result_from_state": 0}
+        outcomes = responses[0]["result"]["outcomes"]
+        assert [sorted(row) for row in outcomes] == [
+            ["key", "status"],
+            ["key", "status"],
+            ["error", "key", "status"],
+        ]
+        cells = [cell_from_params(cell) for cell in (VOICE_CELL, other, bad)]
+        again = service.run(cells)
+        assert [outcome.ok for outcome in again] == [True, True, False]
+        assert again[2].error == outcomes[2]["error"]
+        assert counts["result_from_state"] == 2
+
     def test_shared_cache_across_serve_sessions(self, tmp_path):
         first = ExplorationService(store=ResultStore(tmp_path))
         roundtrip(first, [rpc("batch", 1, cells=[VOICE_CELL])])

@@ -26,7 +26,9 @@ them, so a scan checks every such name still resolves, and one cell
 evaluated under counting wrappers checks that each stage its replay
 spans is still reached through the wrapped name.  Its replay also reads
 the search counters off each result in-process, so one recipe's
-three cells are replayed through it in a subprocess.  Its traced run also takes a
+three cells are replayed through it in a subprocess, and two recipes
+are replayed after the serial reference run that precedes the replay
+in a traced run.  Its traced run also takes a
 median over every serving span it reads, so one batch served over a
 socket checks that each of those spans is still reached.
 
@@ -250,6 +252,46 @@ def test_perfbench_replay_reads_counters_a_cell_records():
     )
     proc = subprocess.run(
         [sys.executable, "-c", REPLAY_PROBE],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+REFERENCE_THEN_REPLAY_PROBE = """
+from perfbench.inputs import grid_cells
+from perfbench.replay import CELL_TARGETS, replay_cells
+from perfbench.spans import SpanRecorder
+from repro.analysis.sweep import ParallelSweepRunner
+
+cells = grid_cells(1)[:6]
+assert len({cell.app for cell in cells}) == 1, cells
+assert len({(cell.app, cell.platform) for cell in cells}) == 2, cells
+outcomes = ParallelSweepRunner(jobs=1).run(cells)
+assert all(outcome.ok for outcome in outcomes), outcomes
+recorder = SpanRecorder()
+counters = replay_cells(cells, recorder)
+assert counters.errors == [], counters.errors
+spanned = {raw[2] for raw in recorder.raw}
+empty = {target[3] for target in CELL_TARGETS} - spanned
+assert not empty, empty
+"""
+
+
+def test_replay_after_reference_results_fills_every_cell_span():
+    # perfbench computes its reference answers in-process first, then
+    # clears the context slot and replays the same cells with spans; a
+    # shared build that outlives the slot would leave a stage's span
+    # empty there, and the traced run fails on an empty span
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", REFERENCE_THEN_REPLAY_PROBE],
         env=env,
         cwd=REPO_ROOT,
         capture_output=True,
